@@ -108,22 +108,6 @@ class ControllerEventProbe(PipelineProbe):
             pipeline.controller.iter_events_since(self._cursor)
         self.events.extend(fresh)
 
-    @property
-    def timestamped(self) -> List[Tuple[int, ControllerEvent]]:
-        """Deprecated ``(cycle, event)`` view of :attr:`events`.
-
-        Kept for one release: events carry :attr:`ControllerEvent.cycle`
-        directly now (same shim as
-        :func:`repro.core.controller.timestamped_events`).
-        """
-        import warnings
-
-        warnings.warn(
-            "ControllerEventProbe.timestamped is deprecated: events "
-            "carry their cycle directly (event.cycle)",
-            DeprecationWarning, stacklevel=2)
-        return [(event.cycle, event) for event in self.events]
-
 
 @dataclass(frozen=True)
 class ConcordanceViolation:

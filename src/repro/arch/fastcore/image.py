@@ -21,6 +21,7 @@ from struct import pack_into, unpack_from
 
 from repro.arch.functional_units import NON_PIPELINED_OPS
 from repro.arch.stats import REUSE_BUCKET_INDEX
+from repro.core.loop_detector import F_CONTROL, decode_flags
 from repro.isa.memory import _PAGE_SHIFT, _PAGE_SIZE
 from repro.isa.opcodes import FuClass, InstrClass, Opcode
 from repro.isa.program import INSTRUCTION_BYTES, Program
@@ -48,22 +49,19 @@ _INT_LD_FMTS = {(4, True): "<i", (4, False): "<I", (2, True): "<h",
                 (2, False): "<H", (1, True): "<b", (1, False): "<B"}
 _INT_ST_FMTS = {4: "<I", 2: "<H", 1: "<B"}
 
-# Classification flag bits (column ``flags``).
-F_CONTROL = 1 << 0
+# Classification flag bits (column ``flags``).  Bits 0, 5, 6 and 10 are
+# the reuse controller's own ``decode_flags`` (F_CONTROL, F_CALL,
+# F_RETURN, F_BACKWARD in ``repro.core.loop_detector``), so a flags cell
+# can be handed to the controller as is.
 F_COND = 1 << 1          # conditional direct branch
 F_MEM = 1 << 2
 F_LOAD = 1 << 3
 F_STORE = 1 << 4
-F_CALL = 1 << 5          # direct or indirect call
-F_RETURN = 1 << 6        # jr $ra
 F_HALT = 1 << 7
 F_NOPHALT = 1 << 8       # NOP or HALT (single-cycle, no result)
 #: Loop-cache fill trigger: direct, non-call control with a backward
 #: static target (the fetch unit's sbb condition).
 F_LC_TRIGGER = 1 << 9
-#: Statically loop-ending: BRANCH/JUMP with a backward target.  Combined
-#: with a taken prediction this is ``LoopDetector.is_loop_ending``.
-F_BACKWARD = 1 << 10
 
 # Control-kind codes (column ``ctrl``): -1 for non-control instructions.
 CTRL_BRANCH = 0
@@ -368,7 +366,7 @@ class CoreImage:
         "program", "text_base", "text_size", "count",
         "insts", "ops", "flags", "ctrl", "fu", "lat", "busy",
         "dest", "src0", "src1", "nsrc", "ea_imm", "target",
-        "loop_size", "memsize", "exec_fn", "br_fn", "ld_fn", "st_fn",
+        "memsize", "exec_fn", "br_fn", "ld_fn", "st_fn",
         "pcs", "bucket",
     )
 
@@ -392,7 +390,6 @@ class CoreImage:
         nsrc = [0] * n
         ea_imm = [0] * n
         target = [-1] * n
-        loop_size = [0] * n
         memsize = [0] * n
         pcs = [0] * n
         bucket = [0] * n        # REUSE_TYPE_BUCKETS index per slot
@@ -403,9 +400,8 @@ class CoreImage:
         for i, inst in enumerate(insts):
             op = inst.op
             icls = op.icls
-            f = 0
-            if inst.is_control:
-                f |= F_CONTROL
+            f = decode_flags(inst)
+            if f & F_CONTROL:
                 ctrl[i] = _CTRL_CODES[icls]
             if inst.is_conditional_branch:
                 f |= F_COND
@@ -419,10 +415,6 @@ class CoreImage:
             if inst.is_store:
                 f |= F_STORE
                 st_fn[i] = _store_closure(op)
-            if inst.is_call:
-                f |= F_CALL
-            if inst.is_return:
-                f |= F_RETURN
             if inst.is_halt:
                 f |= F_HALT
             if icls is InstrClass.NOP or icls is InstrClass.HALT:
@@ -430,11 +422,6 @@ class CoreImage:
             if (inst.is_direct_control and not inst.is_call
                     and inst.target is not None and inst.target <= inst.pc):
                 f |= F_LC_TRIGGER
-            if (icls in (InstrClass.BRANCH, InstrClass.JUMP)
-                    and inst.target is not None and inst.target <= inst.pc):
-                f |= F_BACKWARD
-                loop_size[i] = ((inst.pc - inst.target)
-                                // INSTRUCTION_BYTES + 1)
             fu[i] = _FU_CODES[op.fu]
             lat[i] = op.latency
             busy[i] = op.latency if op in NON_PIPELINED_OPS else 1
@@ -465,7 +452,6 @@ class CoreImage:
         self.nsrc = nsrc
         self.ea_imm = ea_imm
         self.target = target
-        self.loop_size = loop_size
         self.memsize = memsize
         self.exec_fn = exec_fn
         self.br_fn = br_fn

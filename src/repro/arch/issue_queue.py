@@ -15,7 +15,8 @@ instruction belongs to a loop being buffered"), an **issue state bit**
 An entry whose classification bit is set is *not* removed when it issues; it
 stays resident so the reuse pointer can re-dispatch it.  The bookkeeping for
 buffering and reuse lives in :mod:`repro.core`; this module provides the
-structure both modes share.
+structure both modes share, plus the per-entry callbacks the controller
+uses on it.
 
 Selection uses an age-ordered ready heap keyed by the sequence number of the
 entry's current dynamic instance, giving oldest-first select in O(log n)
@@ -151,6 +152,41 @@ class IssueQueue:
         entry.in_queue = False
         entry.ready = False
         self.entries.discard(entry)
+
+    # -- reuse controller callbacks (see repro.core.controller.EntryHost) ----
+
+    def mark_buffered(self, entry: IQEntry) -> Instruction:
+        """Classify ``entry`` as buffered; record a control entry's
+        predicted outcome for replay during Code Reuse."""
+        entry.classification = True
+        entry.issue_state = False
+        dyn = entry.dyn
+        if dyn.is_control:
+            entry.recorded_taken = dyn.pred_taken
+            entry.recorded_target = dyn.pred_target
+        return entry.inst
+
+    def count_resident(self, entries: List[IQEntry]) -> int:
+        """How many of ``entries`` still occupy the queue."""
+        return sum(1 for entry in entries if entry.in_queue)
+
+    def release_buffered(self, entries: List[IQEntry]) -> int:
+        """Revoke buffered ``entries``; returns how many left the queue.
+
+        Issued entries leave immediately; unissued ones lose their
+        classification bit and leave at issue like any conventional
+        entry.  Entries already squashed out are skipped.
+        """
+        removed = 0
+        for entry in entries:
+            if not entry.in_queue:
+                continue
+            if entry.issue_state:
+                self.remove(entry)
+                removed += 1
+            else:
+                entry.classification = False
+        return removed
 
     def squash_younger_than(self, seq: int) -> int:
         """Remove entries whose current instance is younger than ``seq``.

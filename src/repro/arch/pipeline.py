@@ -15,13 +15,17 @@ equal the in-order interpreter's, which the test suite checks exhaustively.
 The paper's mechanism hooks in at four points:
 
 * decode calls :meth:`ReuseController.on_decode` (loop detection, buffering
-  bookkeeping, promote decision),
+  bookkeeping, promote decision) and stamps the session it returns,
 * dispatch calls ``on_dispatch`` / ``on_dispatch_iq_full`` and, in Code
   Reuse state, draws instructions from the reuse pointer instead of the
   decoder,
 * issue leaves classification-bit entries resident (setting their issue
   state bit) instead of removing them,
 * misprediction recovery calls ``on_mispredict`` (revoke / reuse exit).
+
+The controller is shared with the array core: it sees plain values and
+opaque entry handles (here ``IQEntry`` objects), and reaches entries only
+through the :class:`~repro.arch.issue_queue.IssueQueue` callbacks.
 
 When the controller's gate signal is up, fetch and decode simply do not run:
 no I-cache, ITLB or branch-predictor activity occurs -- that is the power
@@ -54,6 +58,7 @@ from repro.arch.rob import ReorderBuffer
 from repro.arch.stats import REUSE_COUNTER_OF, PipelineStats
 from repro.arch.trace import PipelineTracer
 from repro.core import controller_for
+from repro.core.loop_detector import decode_flags
 from repro.core.states import IQState
 from repro.isa.memory import SparseMemory
 from repro.isa.opcodes import FuClass, InstrClass
@@ -83,7 +88,7 @@ class Pipeline:
         "pending_stores", "cycle", "halted",
         "_stage_probes", "_cycle_probes", "_record", "_record_squash",
         "_seq", "_inflight", "_inflight_push", "_dcache_ports_used",
-        "_decode_buffer_cap",
+        "_decode_buffer_cap", "_decode_flags",
     )
 
     def __init__(self, program: Program, config: MachineConfig,
@@ -114,6 +119,10 @@ class Pipeline:
         self.fus = FunctionalUnitPool(config)
         self.controller = controller_for(config.reuse_mode)(
             config, self.iq, self.stats)
+        #: Static controller flags per text index (see ``decode_flags``).
+        self._decode_flags = ([decode_flags(inst)
+                               for inst in program.instructions]
+                              if config.reuse_enabled else None)
         self._seq = 0
         self.fetch_unit = FetchUnit(program, config, self.hierarchy,
                                     self.predictor, self._next_seq,
@@ -373,7 +382,7 @@ class Pipeline:
         self.decoded.clear()
         self.fetch_unit.redirect(target, self.cycle)
         if self.controller.enabled:
-            self.controller.on_mispredict(dyn)
+            self.controller.on_mispredict()
 
     # ------------------------------------------------------------------ LSQ
 
@@ -557,7 +566,7 @@ class Pipeline:
                 break
             if self.iq.full:
                 if self.controller.enabled:
-                    self.controller.on_dispatch_iq_full(dyn)
+                    self.controller.on_dispatch_iq_full(dyn.buffer_session)
                 break
             decoded.popleft()
             entry = IQEntry(inst, dyn)
@@ -566,7 +575,8 @@ class Pipeline:
             self.iq.insert(entry)
             stats.iq_inserts += 1
             if self.controller.enabled:
-                self.controller.on_dispatch(dyn, entry)
+                self.controller.on_dispatch(dyn.buffer_session, dyn.seq,
+                                            entry)
                 if self.controller.state is IQState.REUSE:
                     # the loop tail just dispatched and Code Reuse engaged:
                     # everything still queued in the front-end is the next
@@ -580,10 +590,11 @@ class Pipeline:
         """Code Reuse state: the reuse pointer is the dispatch source."""
         stats = self.stats
         controller = self.controller
+        buffered = controller.buffered
         budget = self.config.decode_width
-        while budget:
-            entry = controller.peek_reuse()
-            if entry is None:
+        while budget and buffered:
+            entry = buffered[controller.reuse_pointer]
+            if not entry.issue_state:
                 break
             inst = entry.inst
             if self.rob.full:
@@ -663,6 +674,7 @@ class Pipeline:
         queue = self.fetch_unit.queue
         decoded = self.decoded
         controller = self.controller
+        flags = self._decode_flags
         while budget and queue and len(decoded) < self._decode_buffer_cap:
             dyn = queue.popleft()
             stats.decoded += 1
@@ -672,7 +684,12 @@ class Pipeline:
                 self._record("decode", dyn, self.cycle)
             decoded.append(dyn)
             if controller.enabled:
-                controller.on_decode(dyn)
+                inst = dyn.inst
+                session = controller.on_decode(
+                    dyn.pc, flags[inst.index], inst.target, dyn.pred_taken,
+                    dyn.pred_target, dyn.seq)
+                if session is not None:
+                    dyn.buffer_session = session
                 if controller.gated:
                     # promote decision: the gate is up.  The fetch queue is
                     # retained -- if buffering is revoked before the loop

@@ -14,25 +14,41 @@ queue:
 * every revoke/recovery rule back to Normal (Section 2.5), and
 * the front-end gate signal.
 
-The pipeline calls into the controller at decode (``on_decode``), at
-dispatch (``on_dispatch`` / ``on_dispatch_iq_full``), during misprediction
-recovery (``on_mispredict``) and when dispatching in Code Reuse state
-(``peek_reuse`` / ``advance_reuse``).
+Both pipeline cores drive this one implementation.  A core calls in at
+decode (``on_decode``), at dispatch (``on_dispatch`` /
+``on_dispatch_iq_full``) and during misprediction recovery
+(``on_mispredict``), passing plain values: the pc, the predicted
+outcome, the instruction's static ``decode_flags`` and its dynamic
+sequence number.  Issue-queue entries are
+opaque *handles* -- an ``IQEntry`` on the object core, an int entry slot
+on the array core -- stored in :attr:`ReuseController.buffered`.  The
+controller touches an entry only through its core's issue queue
+(:class:`EntryHost`): mark it buffered, count the resident ones,
+release them on revoke, and read the free-entry count.
+
+In Code Reuse state each core's dispatch stage reads ``buffered`` and
+``reuse_pointer`` itself and checks the pointed entry's issue state bit;
+the pointer's wrap rule is :meth:`ReuseController.reuse_wrap`, reached
+through ``advance_reuse`` on the object core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, Optional, Protocol
 
 from repro.arch.config import MachineConfig
-from repro.arch.dyninst import DynInst
-from repro.arch.issue_queue import IQEntry, IssueQueue
 from repro.arch.stats import PipelineStats
-from repro.core.loop_detector import LoopCandidate, LoopDetector
+from repro.core.loop_detector import (
+    F_BACKWARD,
+    F_CALL,
+    F_RETURN,
+    LoopDetector,
+)
 from repro.core.lrl import LogicalRegisterList
 from repro.core.nblt import NonBufferableLoopTable
 from repro.core.states import IQState, check_transition
+from repro.isa.instruction import Instruction
 
 
 #: Private fault-injection switch for the fuzzer's self-test (see
@@ -77,32 +93,48 @@ class ControllerEvent:
     supplied: int = 0
 
 
-def timestamped_events(events):
-    """Deprecated ``(cycle, event)`` tuple view of an event list.
+class EntryHost(Protocol):
+    """The per-entry bits a core's issue queue exposes to the controller.
 
-    Events carry their own :attr:`ControllerEvent.cycle` now; this shim
-    reproduces the tuple shape the pre-telemetry probes exposed (cycles
-    used to be zipped in externally by each consumer) and will be removed
-    in the next release.
+    ``entry`` is the core's opaque handle for one issue-queue entry.
     """
-    import warnings
 
-    warnings.warn(
-        "timestamped_events() is deprecated: ControllerEvent carries "
-        "its cycle directly (event.cycle)",
-        DeprecationWarning, stacklevel=2)
-    return [(event.cycle, event) for event in events]
+    @property
+    def free_entries(self) -> int:
+        """Unoccupied issue-queue entries."""
+        ...
+
+    def mark_buffered(self, entry: Any) -> Instruction:
+        """Set the classification bit, clear the issue state bit, record
+        a control entry's predicted outcome; returns the static
+        instruction (for the LRL write)."""
+        ...
+
+    def count_resident(self, entries: List[Any]) -> int:
+        """How many of ``entries`` still occupy the queue."""
+        ...
+
+    def release_buffered(self, entries: List[Any]) -> int:
+        """Revoke: issued resident entries leave the queue, unissued ones
+        lose their classification bit; returns the number removed."""
+        ...
 
 
 class ReuseController:
     """State machine and bookkeeping for the reuse-capable issue queue."""
 
-    def __init__(self, config: MachineConfig, iq: IssueQueue,
+    def __init__(self, config: MachineConfig, iq: EntryHost,
                  stats: PipelineStats):
         self.config = config
         self.iq = iq
         self.stats = stats
         self.enabled = config.reuse_enabled
+        #: False while a Normal-state :meth:`on_decode` can act only on a
+        #: predicted-taken backward branch (``F_BACKWARD``), so a core may
+        #: skip the call for every other instruction.  Always False for
+        #: the loop controller; the trace controller sets it while an
+        #: observation window is open.
+        self.observing = False
         self.detector = LoopDetector(config.iq_size)
         self.nblt = NonBufferableLoopTable(config.nblt_size)
         self.lrl = LogicalRegisterList(config.iq_size)
@@ -112,14 +144,15 @@ class ReuseController:
         # R_loophead / R_looptail
         self.loop_head_pc: Optional[int] = None
         self.loop_tail_pc: Optional[int] = None
-        # buffering bookkeeping
-        self.buffered: List[IQEntry] = []
+        # buffering bookkeeping; ``buffered`` holds entry handles
+        self.buffered: List[Any] = []
         self.call_depth = 0
         self.iteration_counter = 0          # instructions in current iteration
         self.last_iteration_size = 0
         self.iterations_buffered = 0
         self.pending_promote = False
-        self._promote_waiting_for: Optional[DynInst] = None
+        #: Sequence number of the tail whose dispatch engages Code Reuse.
+        self._promote_seq: Optional[int] = None
         # reuse pointer
         self.reuse_pointer = 0
         self._next_entry_id = 0
@@ -161,6 +194,10 @@ class ReuseController:
             return (), cursor
         return log[cursor:], len(log)
 
+    def resident_buffered(self) -> int:
+        """Buffered entries still occupying the issue queue."""
+        return self.iq.count_resident(self.buffered)
+
     # -- state transitions ---------------------------------------------------
 
     def _transition(self, new_state: IQState, reason: str) -> None:
@@ -170,129 +207,138 @@ class ReuseController:
 
     # -- decode-stage hook ------------------------------------------------------
 
-    def on_decode(self, dyn: DynInst) -> None:
-        """Observe one decoded instruction (loop detection + buffering)."""
+    def on_decode(self, pc: int, flags: int, target: Optional[int],
+                  pred_taken: Optional[bool], pred_target: Optional[int],
+                  seq: int) -> Optional[int]:
+        """Observe one decoded instruction (detection + buffering).
+
+        ``flags`` are the instruction's static
+        :func:`~repro.core.loop_detector.decode_flags`, ``target`` its
+        static branch target and ``seq`` its dynamic sequence number.
+        Returns the buffering session the core must stamp on the
+        instance (None when it is not a buffering candidate).
+        """
         if not self.enabled:
-            return
+            return None
         if self.state is IQState.NORMAL:
-            self._try_start_buffering(dyn)
+            if flags & F_BACKWARD and pred_taken:
+                self._try_start_buffering(pc, target)
         elif self.state is IQState.BUFFERING:
-            self._buffering_decode(dyn)
+            return self._buffering_decode(pc, flags, target, pred_taken,
+                                          pred_target, seq)
         # REUSE: decode is gated; nothing should arrive here.
+        return None
 
-    def _try_start_buffering(self, dyn: DynInst) -> None:
-        candidate = self.detector.detect(dyn)
-        if candidate is None:
+    def _try_start_buffering(self, tail: int, head: int) -> None:
+        if not self.detector.fits(tail, head):
             return
-        self.stats.loop_detections += 1
-        if self.nblt.lookup(candidate.tail_pc):
-            self.stats.nblt_lookups += 1
-            self.stats.nblt_hits += 1
+        stats = self.stats
+        stats.loop_detections += 1
+        stats.nblt_lookups += 1
+        if self.nblt.lookup(tail):
+            stats.nblt_hits += 1
             return
-        self.stats.nblt_lookups += 1
-        self._start_buffering(candidate)
+        self._start_buffering(head, tail)
 
-    def _start_buffering(self, candidate: LoopCandidate) -> None:
+    def _start_buffering(self, head: int, tail: int) -> None:
         self._transition(IQState.BUFFERING, "capturable loop detected")
         self.events.append(ControllerEvent(
-            kind="buffer_start",
-            head_pc=candidate.head_pc,
-            tail_pc=candidate.tail_pc,
-            cycle=self.now))
+            kind="buffer_start", head_pc=head, tail_pc=tail, cycle=self.now))
         self.stats.buffering_started += 1
         self.session_id += 1
         self._undispatched_candidates = 0
-        self.loop_head_pc = candidate.head_pc
-        self.loop_tail_pc = candidate.tail_pc
+        self.loop_head_pc = head
+        self.loop_tail_pc = tail
         self.buffered = []
         self.call_depth = 0
         self.iteration_counter = 0
         self.last_iteration_size = 0
         self.iterations_buffered = 0
         self.pending_promote = False
-        self._promote_waiting_for = None
+        self._promote_seq = None
         self.session_supplied = 0
 
-    def _buffering_decode(self, dyn: DynInst) -> None:
+    def _buffering_decode(self, pc: int, flags: int, target: Optional[int],
+                          pred_taken: Optional[bool],
+                          pred_target: Optional[int],
+                          seq: int) -> Optional[int]:
         if self.pending_promote:
             # the gate signal is already up; nothing new should be decoded,
             # but an instruction already in flight through decode this cycle
             # is simply left alone (it will be flushed by the pipeline)
-            return
-        pc = dyn.pc
+            return None
         if pc == self.loop_tail_pc and self.call_depth == 0:
-            self._iteration_boundary(dyn)
-            return
+            session = self._claim()
+            if not pred_taken:
+                # the loop ends here: execution exits during buffering
+                self._revoke("exit at tail", register_nblt=True)
+                self.stats.revokes_exit += 1
+            else:
+                self._end_iteration(seq)
+            return session
         in_loop = self.loop_head_pc <= pc <= self.loop_tail_pc
         if self.call_depth == 0 and not in_loop:
             self._revoke("exit", register_nblt=True)
             self.stats.revokes_exit += 1
-            return
-        if self.detector.is_loop_ending(dyn):
+            return None
+        if flags & F_BACKWARD and pred_taken:
             # an inner loop inside the loop being buffered: the current
             # loop is non-bufferable; re-run detection on the inner loop
             self._revoke("inner loop", register_nblt=True)
             self.stats.revokes_inner_loop += 1
-            self._try_start_buffering(dyn)
-            return
-        dyn.buffer_session = self.session_id
-        self._undispatched_candidates += 1
-        self.iteration_counter += 1
-        if dyn.inst.is_call:
+            self._try_start_buffering(pc, target)
+            return None
+        if flags & F_CALL:
             self.call_depth += 1
-        elif dyn.inst.is_return and self.call_depth > 0:
+        elif flags & F_RETURN and self.call_depth > 0:
             self.call_depth -= 1
+        return self._claim()
 
-    def _iteration_boundary(self, dyn: DynInst) -> None:
-        dyn.buffer_session = self.session_id
+    def _claim(self) -> int:
+        """Count one decoded instance as a buffering candidate."""
         self._undispatched_candidates += 1
         self.iteration_counter += 1
-        if not dyn.pred_taken:
-            # the loop ends here: execution exits during buffering
-            self._revoke("exit at tail", register_nblt=True)
-            self.stats.revokes_exit += 1
-            return
+        return self.session_id
+
+    def _end_iteration(self, seq: int) -> None:
+        """The tail of a buffered iteration (sequence ``seq``) decoded."""
         self.last_iteration_size = self.iteration_counter
         self.iteration_counter = 0
         self.iterations_buffered += 1
         if self.config.buffering_strategy == "single":
-            self._promote(dyn)
+            self._promote(seq)
             return
         # multi-iteration strategy: keep buffering while the free entries
         # can hold another iteration of the just-observed size; entries
         # already claimed by decoded-but-undispatched candidates count as
         # occupied
         effective_free = self.iq.free_entries - self._undispatched_candidates
-        if effective_free >= self.last_iteration_size:
-            return
-        self._promote(dyn)
+        if effective_free < self.last_iteration_size:
+            self._promote(seq)
 
-    def _promote(self, tail_dyn: DynInst) -> None:
+    def _promote(self, tail_seq: int) -> None:
         """Raise the gate; Code Reuse begins once the tail is dispatched."""
         self.pending_promote = True
-        self._promote_waiting_for = tail_dyn
+        self._promote_seq = tail_seq
         self.gated = True
 
     # -- dispatch-stage hooks ----------------------------------------------------
 
-    def on_dispatch(self, dyn: DynInst, entry: Optional[IQEntry]) -> None:
-        """Observe one normally dispatched instruction."""
+    def on_dispatch(self, session: Optional[int], seq: int,
+                    entry: Any) -> None:
+        """Observe one normally dispatched instance: its decode-time
+        session stamp, its sequence number and its queue entry handle."""
         if not self.enabled or self.state is not IQState.BUFFERING:
             return
-        if dyn.buffer_session == self.session_id and entry is not None:
+        if session == self.session_id:
             self._undispatched_candidates -= 1
-            entry.classification = True
-            entry.issue_state = False
-            entry_id = self._next_entry_id
+            inst = self.iq.mark_buffered(entry)
+            self.lrl.record(self._next_entry_id, inst.dest, inst.srcs)
             self._next_entry_id += 1
-            self.lrl.record(entry_id, dyn.inst.dest, dyn.inst.srcs)
             self.stats.lrl_writes += 1
-            if dyn.is_control:
-                entry.recorded_taken = dyn.pred_taken
-                entry.recorded_target = dyn.pred_target
             self.buffered.append(entry)
             self.stats.buffered_instructions += 1
-        if self.pending_promote and dyn is self._promote_waiting_for:
+        if self.pending_promote and seq == self._promote_seq:
             self._enter_reuse()
 
     def _enter_reuse(self) -> None:
@@ -306,11 +352,12 @@ class ReuseController:
         self.stats.promotions += 1
         self.stats.buffered_iterations += self.iterations_buffered
         self.pending_promote = False
-        self._promote_waiting_for = None
+        self._promote_seq = None
         self.reuse_pointer = 0
 
-    def on_dispatch_iq_full(self, dyn: DynInst) -> None:
-        """Dispatch stalled on a full issue queue.
+    def on_dispatch_iq_full(self, session: Optional[int]) -> None:
+        """Dispatch stalled on a full issue queue; ``session`` is the
+        stalled instance's decode-time stamp.
 
         During buffering, a full queue only proves the loop does not fit
         when every occupied entry is a *buffered* entry -- buffered entries
@@ -321,38 +368,31 @@ class ReuseController:
         """
         if not self.enabled or self.state is not IQState.BUFFERING:
             return
-        if dyn.buffer_session != self.session_id:
+        if session != self.session_id:
             return
-        resident = sum(1 for entry in self.buffered if entry.in_queue)
-        if resident >= self.iq.occupancy:
+        occupancy = self.config.iq_size - self.iq.free_entries
+        if self.resident_buffered() >= occupancy:
             self._revoke("issue queue full", register_nblt=True)
             self.stats.revokes_iq_full += 1
 
     # -- reuse pointer (Code Reuse dispatch source) -------------------------------
-
-    def peek_reuse(self) -> Optional[IQEntry]:
-        """Next buffered entry to re-dispatch, if its issue state bit is set."""
-        if self.state is not IQState.REUSE or not self.buffered:
-            return None
-        entry = self.buffered[self.reuse_pointer]
-        if entry.issue_state:
-            return entry
-        return None
 
     def advance_reuse(self) -> None:
         """Advance the reuse pointer (wraps at the last buffered entry)."""
         self.session_supplied += 1
         self.reuse_pointer += 1
         if self.reuse_pointer >= len(self.buffered):
-            if _INJECTED_BUG == "skip-lrl-update" \
-                    and len(self.buffered) > 1:
-                self.reuse_pointer = 1
-                return
-            self.reuse_pointer = 0
+            self.reuse_pointer = self.reuse_wrap()
+
+    def reuse_wrap(self) -> int:
+        """Where the reuse pointer goes after the last buffered entry."""
+        if _INJECTED_BUG == "skip-lrl-update" and len(self.buffered) > 1:
+            return 1
+        return 0
 
     # -- recovery -------------------------------------------------------------------
 
-    def on_mispredict(self, dyn: DynInst) -> None:
+    def on_mispredict(self) -> None:
         """Misprediction recovery hook (called after the pipeline squash)."""
         if not self.enabled:
             return
@@ -384,21 +424,14 @@ class ReuseController:
         if inserted:
             self.nblt.insert(self.loop_tail_pc)
             self.stats.nblt_inserts += 1
-        for entry in self.buffered:
-            if not entry.in_queue:
-                continue                      # squashed by the recovery
-            if entry.issue_state:
-                self.iq.remove(entry)
-                self.stats.iq_removes += 1
-            else:
-                entry.classification = False
+        self.stats.iq_removes += self.iq.release_buffered(self.buffered)
         if self.state is IQState.BUFFERING:
             self.stats.buffering_revokes += 1
         self.buffered = []
         self.lrl.clear()
         self.stats.revokes += 1
         self.pending_promote = False
-        self._promote_waiting_for = None
+        self._promote_seq = None
         self.gated = False
         self.loop_head_pc = None
         self.loop_tail_pc = None

@@ -22,8 +22,35 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.arch.dyninst import DynInst
-from repro.isa.opcodes import InstrClass
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import CONTROL_CLASSES, InstrClass
 from repro.isa.program import INSTRUCTION_BYTES
+
+# Static flag bits the reuse controllers read at decode.  The bit values
+# are shared with the array core's predecode ``flags`` column, so either
+# core hands the controller one int per instruction.
+F_CONTROL = 1 << 0
+F_CALL = 1 << 5          # direct or indirect call
+F_RETURN = 1 << 6        # jr $ra
+#: Statically loop-ending: BRANCH/JUMP with a backward target.  Combined
+#: with a taken prediction this is :meth:`LoopDetector.is_loop_ending`.
+F_BACKWARD = 1 << 10
+
+
+def decode_flags(inst: Instruction) -> int:
+    """The controller-visible static flags of one instruction."""
+    icls = inst.op.icls
+    if icls not in CONTROL_CLASSES:
+        return 0
+    flags = F_CONTROL
+    if inst.is_call:
+        flags |= F_CALL
+    if inst.is_return:
+        flags |= F_RETURN
+    if ((icls is InstrClass.BRANCH or icls is InstrClass.JUMP)
+            and inst.target is not None and inst.target <= inst.pc):
+        flags |= F_BACKWARD
+    return flags
 
 
 @dataclass(frozen=True)
@@ -49,13 +76,17 @@ class LoopDetector:
 
     def is_loop_ending(self, dyn: DynInst) -> bool:
         """True for a predicted-taken backward conditional branch or jump."""
-        icls = dyn.inst.op.icls
-        if icls is not InstrClass.BRANCH and icls is not InstrClass.JUMP:
+        return bool(dyn.pred_taken
+                    and decode_flags(dyn.inst) & F_BACKWARD)
+
+    def fits(self, tail_pc: int, head_pc: int) -> bool:
+        """Capturability of a loop-ending instruction: head..tail
+        inclusive fits the issue queue."""
+        self.backward_seen += 1
+        if (tail_pc - head_pc) // INSTRUCTION_BYTES + 1 > self.iq_capacity:
+            self.too_large += 1
             return False
-        if not dyn.pred_taken:
-            return False
-        target = dyn.inst.target
-        return target is not None and target <= dyn.pc
+        return True
 
     def detect(self, dyn: DynInst) -> Optional[LoopCandidate]:
         """Run detection on one decoded instruction.
@@ -66,10 +97,8 @@ class LoopDetector:
         self.checks += 1
         if not self.is_loop_ending(dyn):
             return None
-        self.backward_seen += 1
         target = dyn.inst.target
-        size = (dyn.pc - target) // INSTRUCTION_BYTES + 1
-        if size > self.iq_capacity:
-            self.too_large += 1
+        if not self.fits(dyn.pc, target):
             return None
+        size = (dyn.pc - target) // INSTRUCTION_BYTES + 1
         return LoopCandidate(head_pc=target, tail_pc=dyn.pc, size=size)

@@ -49,11 +49,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.config import MachineConfig
-from repro.arch.dyninst import DynInst
-from repro.arch.issue_queue import IssueQueue
 from repro.arch.stats import PipelineStats
-from repro.core.controller import ReuseController
-from repro.core.loop_detector import LoopCandidate
+from repro.core.controller import EntryHost, ReuseController
+from repro.core.loop_detector import F_BACKWARD, F_CONTROL
 from repro.core.states import IQState
 
 #: One control-flow observation: (pc, predicted taken, predicted target).
@@ -120,7 +118,7 @@ class TraceReuseController(ReuseController):
     and recovery are inherited.
     """
 
-    def __init__(self, config: MachineConfig, iq: IssueQueue,
+    def __init__(self, config: MachineConfig, iq: EntryHost,
                  stats: PipelineStats):
         super().__init__(config, iq, stats)
         self.tht = TraceHeadTable(config.tht_size)
@@ -132,146 +130,114 @@ class TraceReuseController(ReuseController):
         self._ref: Signature = ()
         self._ref_idx = 0
 
-    # -- decode-stage hook --------------------------------------------------
-
-    def on_decode(self, dyn: DynInst) -> None:
-        """Observe one decoded instruction (trace detection + buffering)."""
-        if not self.enabled:
-            return
-        if self.state is IQState.NORMAL:
-            self._observe(dyn)
-        elif self.state is IQState.BUFFERING:
-            self._buffering_decode(dyn)
-        # REUSE: decode is gated; nothing should arrive here.
-
     # -- observation (Normal state) -----------------------------------------
 
-    def _observe(self, dyn: DynInst) -> None:
-        if self.tht.size <= 0:
-            return
-        if self.detector.is_loop_ending(dyn):
-            self._observe_tail(dyn)
-            return
-        if self._obs_head is None:
-            return
-        self._obs_len += 1
-        if self._obs_len >= self.config.iq_size:
-            # the path from the anchor no longer fits head..tail inclusive
-            # in the issue queue; abandon and wait for the next anchor
-            self._obs_head = None
-            self._obs = []
-            self._obs_len = 0
-            return
-        if dyn.is_control:
-            self._obs.append((dyn.pc, dyn.pred_taken, dyn.pred_target))
+    def on_decode(self, pc: int, flags: int, target: Optional[int],
+                  pred_taken: Optional[bool], pred_target: Optional[int],
+                  seq: int) -> Optional[int]:
+        """Observe one decoded instruction (trace detection + buffering);
+        same contract as :meth:`ReuseController.on_decode`."""
+        if self.state is IQState.BUFFERING:
+            return self._buffering_decode(pc, flags, target, pred_taken,
+                                          pred_target, seq)
+        if (self.state is not IQState.NORMAL or not self.enabled
+                or self.tht.size <= 0):
+            return None
+        if flags & F_BACKWARD and pred_taken:
+            self._observe_tail(pc, target, pred_taken, pred_target)
+        elif self._obs_head is not None:
+            self._obs_len += 1
+            if self._obs_len >= self.config.iq_size:
+                # the path from the anchor no longer fits head..tail
+                # inclusive in the issue queue; abandon and wait for the
+                # next anchor
+                self._reset_window()
+            elif flags & F_CONTROL:
+                self._obs.append((pc, pred_taken, pred_target))
+        return None
 
-    def _observe_tail(self, dyn: DynInst) -> None:
-        head = dyn.inst.target
-        tail = dyn.pc
+    def _observe_tail(self, tail: int, head: int, pred_taken: bool,
+                      pred_target: Optional[int]) -> None:
         if self._obs_head == head:
-            signature = tuple(self._obs) + (
-                (tail, dyn.pred_taken, dyn.pred_target),)
-            self.stats.trace_detections += 1
-            self.stats.tht_lookups += 1
+            signature = tuple(self._obs) + ((tail, pred_taken, pred_target),)
+            stats = self.stats
+            stats.trace_detections += 1
+            stats.tht_lookups += 1
             stored = self.tht.get(head)
             if stored == signature:
-                self.stats.tht_hits += 1
-                self.stats.loop_detections += 1
+                stats.tht_hits += 1
+                stats.loop_detections += 1
+                stats.nblt_lookups += 1
                 if self.nblt.lookup(tail):
-                    self.stats.nblt_lookups += 1
-                    self.stats.nblt_hits += 1
+                    stats.nblt_hits += 1
                 else:
-                    self.stats.nblt_lookups += 1
-                    self._start_trace_buffering(head, tail, signature)
+                    self._start_buffering(head, tail)
+                    self._ref = signature
+                    self._ref_idx = 0
+                    self._reset_window()
                     return
             else:
                 self.tht.put(head, signature)
         # re-anchor at this tail's target; the traversal that just ended
         # (or a partial window) doubles as the start of the next one
+        self._reset_window()
         self._obs_head = head
-        self._obs = []
-        self._obs_len = 0
+        self.observing = True
 
-    def _start_trace_buffering(self, head: int, tail: int,
-                               signature: Signature) -> None:
-        length = self._obs_len + 1          # head..tail inclusive
-        self._start_buffering(
-            LoopCandidate(head_pc=head, tail_pc=tail, size=length))
-        self._ref = signature
-        self._ref_idx = 0
+    def _reset_window(self) -> None:
         self._obs_head = None
         self._obs = []
         self._obs_len = 0
+        self.observing = False
 
     # -- buffering-time path check ------------------------------------------
 
-    def _buffering_decode(self, dyn: DynInst) -> None:
+    def _buffering_decode(self, pc: int, flags: int, target: Optional[int],
+                          pred_taken: Optional[bool],
+                          pred_target: Optional[int],
+                          seq: int) -> Optional[int]:
         if self.pending_promote:
             # gate already up; in-flight decodes are flushed by the pipeline
-            return
-        if dyn.is_control:
+            return None
+        if flags & F_CONTROL:
             ref = self._ref[self._ref_idx]
-            actual = (dyn.pc, dyn.pred_taken, dyn.pred_target)
-            if actual != ref:
-                last = self._ref_idx == len(self._ref) - 1
-                if last and dyn.pc == ref[0] and not dyn.pred_taken:
+            last = self._ref_idx == len(self._ref) - 1
+            if (pc, pred_taken, pred_target) != ref:
+                if last and pc == ref[0] and not pred_taken:
                     # the trace ends here: execution exits during
                     # buffering (the paper's exit-at-tail rule)
-                    dyn.buffer_session = self.session_id
-                    self._undispatched_candidates += 1
-                    self.iteration_counter += 1
+                    session = self._claim()
                     self._revoke("exit at tail", register_nblt=True)
                     self.stats.revokes_exit += 1
-                    return
+                    return session
                 self._revoke("trace divergence", register_nblt=True)
                 self.stats.revokes_divergence += 1
-                return
-            if self._ref_idx == len(self._ref) - 1:
-                self._trace_iteration_boundary(dyn)
-                return
+                return None
+            if last:
+                session = self._claim()
+                self._ref_idx = 0
+                self._end_iteration(seq)
+                return session
             self._ref_idx += 1
         # non-control instructions need no check: the path between two
         # controls is fully determined by the previous control's outcome
-        dyn.buffer_session = self.session_id
-        self._undispatched_candidates += 1
-        self.iteration_counter += 1
-
-    def _trace_iteration_boundary(self, dyn: DynInst) -> None:
-        dyn.buffer_session = self.session_id
-        self._undispatched_candidates += 1
-        self.iteration_counter += 1
-        self.last_iteration_size = self.iteration_counter
-        self.iteration_counter = 0
-        self.iterations_buffered += 1
-        self._ref_idx = 0
-        if self.config.buffering_strategy == "single":
-            self._promote(dyn)
-            return
-        # multi-iteration strategy, identical to the loop controller's
-        effective_free = self.iq.free_entries - self._undispatched_candidates
-        if effective_free >= self.last_iteration_size:
-            return
-        self._promote(dyn)
+        return self._claim()
 
     # -- recovery -----------------------------------------------------------
 
-    def on_mispredict(self, dyn: DynInst) -> None:
+    def on_mispredict(self) -> None:
         """Misprediction recovery hook (called after the pipeline squash)."""
         if not self.enabled:
             return
         if self.state is IQState.NORMAL:
             # the squash invalidated part of the observed decode stream;
             # the window no longer describes a real path
-            self._obs_head = None
-            self._obs = []
-            self._obs_len = 0
+            self._reset_window()
             return
-        super().on_mispredict(dyn)
+        super().on_mispredict()
 
     def _revoke(self, reason: str, register_nblt: bool) -> None:
         super()._revoke(reason, register_nblt)
         self._ref = ()
         self._ref_idx = 0
-        self._obs_head = None
-        self._obs = []
-        self._obs_len = 0
+        self._reset_window()

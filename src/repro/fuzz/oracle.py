@@ -19,13 +19,14 @@ With ``engine="array"`` (the campaign default) the three-way oracle
 becomes **four-way**: a probe-free
 :class:`~repro.arch.fastcore.FastPipeline` reuse run is added as mode
 ``reuse-array``, so every mutant also cross-checks the array core's
-flat-state fast path against the interpreter.
+flat-state fast path against the interpreter, and its activity record
+against the object reuse run's (:func:`record_divergence`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.arch.config import MachineConfig
 from repro.arch.fastcore import FastPipeline
@@ -34,6 +35,7 @@ from repro.fuzz.coverage import CoverageProbe
 from repro.isa.interpreter import Interpreter, run_program
 from repro.isa.program import Program
 from repro.isa.registers import reg_name
+from repro.power.activity import ActivityRecord
 
 #: Fixed part of the pipeline cycle budget :func:`run_differential` allows.
 CYCLE_LIMIT_BASE = 20_000
@@ -49,13 +51,15 @@ class Divergence:
     #: Which pipeline diverged (``baseline``, ``reuse`` or
     #: ``reuse-array``).
     mode: str
-    #: ``committed`` | ``register`` | ``memory`` | ``timeout`` | ``crash``.
+    #: ``committed`` | ``register`` | ``memory`` | ``record`` |
+    #: ``timeout`` | ``crash``.
     kind: str
-    #: The diverging word: a register name or a memory word address.
+    #: The diverging word: a register name, a memory word address, or
+    #: an activity-record counter name.
     location: str
     #: What the pipeline produced (repr / message text).
     got: str
-    #: What the oracle expected.
+    #: What the oracle (for ``record``: the object core) expected.
     want: str
 
     def describe(self) -> str:
@@ -69,6 +73,9 @@ class Divergence:
         if self.kind == "memory":
             return (f"[{self.mode}] memory word {self.location}: "
                     f"{self.got} != oracle {self.want}")
+        if self.kind == "record":
+            return (f"[{self.mode}] activity record {self.location}: "
+                    f"{self.got} != object core {self.want}")
         return f"[{self.mode}] {self.kind}: {self.got}"
 
     def to_dict(self) -> Dict[str, str]:
@@ -113,6 +120,25 @@ def first_divergence(pipeline: Any, oracle: Interpreter,
                 return Divergence(mode, "memory", hex(base + offset),
                                   got_word.hex(), want_word.hex())
     return None
+
+
+def record_divergence(pipeline: Any, want: Mapping[str, Any],
+                      mode: str = "reuse-array") -> Optional[Divergence]:
+    """First field where a finished pipeline's activity record differs
+    from ``want`` (another core's record payload), or None.
+
+    The two cores are bit-exact, so any counter that differs names a
+    behavioural difference even when the architectural state agrees.
+    """
+    got = ActivityRecord.capture(pipeline).to_payload()
+    if got == want:
+        return None
+    for name, value in want["counters"].items():
+        if got["counters"].get(name) != value:
+            return Divergence(mode, "record", name,
+                              str(got["counters"].get(name)), str(value))
+    return Divergence(mode, "record", "registers", repr(got["registers"]),
+                      repr(want["registers"]))
 
 
 def assert_matches_oracle(pipeline: Any, oracle: Interpreter) -> None:
@@ -173,7 +199,9 @@ def run_differential(program: Program, config: MachineConfig,
     ``engine="object"`` is the historical three-way oracle.
     ``engine="array"`` appends a fourth leg -- a probe-free
     :class:`~repro.arch.fastcore.FastPipeline` reuse run, mode label
-    ``reuse-array`` -- checked against the same interpreter state.
+    ``reuse-array`` -- checked against the same interpreter state and,
+    when both reuse runs finished clean, against the object reuse run's
+    activity record (a divergence of kind ``record``).
     (Ordering matters for the self-test: an injected controller bug is
     reported against mode ``reuse`` first, the array leg only ever adds
     findings of its own.)
@@ -187,6 +215,7 @@ def run_differential(program: Program, config: MachineConfig,
     divergence: Optional[Divergence] = None
     signatures: Tuple[str, ...] = ()
     event_counts: Dict[str, int] = {}
+    reuse_record: Optional[Dict[str, Any]] = None
     legs = [("baseline", Pipeline, False), ("reuse", Pipeline, True)]
     if engine == "array":
         legs.append(("reuse-array", FastPipeline, True))
@@ -212,6 +241,10 @@ def run_differential(program: Program, config: MachineConfig,
                                f"{type(exc).__name__}: {exc}", "no crash")
         else:
             found = first_divergence(pipeline, oracle, mode)
+            if found is None and mode == "reuse":
+                reuse_record = ActivityRecord.capture(pipeline).to_payload()
+            elif found is None and reuse_record is not None:
+                found = record_divergence(pipeline, reuse_record, mode)
         if mode == "reuse":
             if probe is not None:
                 signatures = tuple(probe.signatures)

@@ -208,17 +208,31 @@ def _match(segments: Tuple[str, ...],
     return params
 
 
-async def read_request(reader: asyncio.StreamReader,
-                       client: str = "") -> Optional[Request]:
-    """Parse one request off a connection; None on clean EOF."""
+async def read_request_line(reader: asyncio.StreamReader
+                            ) -> Optional[bytes]:
+    """The next request line off a connection; None on clean EOF."""
     try:
-        request_line = await reader.readuntil(b"\r\n")
+        return await reader.readuntil(b"\r\n")
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None  # connection closed between requests
         raise HttpError(400, "truncated request line")
     except asyncio.LimitOverrunError:
         raise HttpError(400, "request line too long")
+
+
+async def read_request(reader: asyncio.StreamReader, client: str = "",
+                       request_line: Optional[bytes] = None
+                       ) -> Optional[Request]:
+    """Parse one request off a connection; None on clean EOF.
+
+    ``request_line`` is the first line when the caller already read it
+    with :func:`read_request_line`.
+    """
+    if request_line is None:
+        request_line = await read_request_line(reader)
+        if request_line is None:
+            return None
     if len(request_line) > MAX_REQUEST_LINE:
         raise HttpError(400, "request line too long")
     try:
@@ -352,11 +366,18 @@ class HttpServer:
             while keep_alive:
                 route = "?"
                 request: Optional[Request] = None
-                start = asyncio.get_event_loop().time()
                 try:
-                    request = await read_request(reader, client=client)
-                    if request is None:
+                    try:
+                        request_line = await read_request_line(reader)
+                    finally:
+                        # the latency clock starts once a request line
+                        # arrives, not while a kept-alive connection
+                        # idles between requests
+                        start = asyncio.get_event_loop().time()
+                    if request_line is None:
                         break
+                    request = await read_request(
+                        reader, client=client, request_line=request_line)
                     keep_alive = request.headers.get(
                         "connection", "keep-alive").lower() != "close"
                     handler, params, route = self.router.resolve(

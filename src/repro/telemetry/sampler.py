@@ -77,16 +77,10 @@ class SamplingProbe(PipelineProbe):
         # strided series sampling
         if (cycle - 1) % self.stride:
             return
-        iq = pipeline.iq
-        occupancy = iq.occupancy
-        buffered = 0
-        for entry in controller.buffered:
-            if entry.in_queue:
-                buffered += 1
         samples = self.samples
         samples["cycle"].append(cycle)
-        samples["iq_occupancy"].append(occupancy)
-        samples["iq_buffered"].append(buffered)
+        samples["iq_occupancy"].append(pipeline.iq.occupancy)
+        samples["iq_buffered"].append(controller.resident_buffered())
         samples["rob_occupancy"].append(len(pipeline.rob))
         samples["lsq_occupancy"].append(len(pipeline.lsq))
         samples["nblt_fill"].append(len(controller.nblt))

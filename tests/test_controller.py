@@ -11,7 +11,7 @@ from repro.core.states import IQState
 from repro.isa.assembler import assemble
 from repro.isa.interpreter import run_program
 
-from tests.helpers import assert_matches_oracle
+from tests.helpers import assert_engines_agree, assert_matches_oracle
 
 REUSE32 = MachineConfig().with_iq_size(32).replace(reuse_enabled=True)
 
@@ -22,6 +22,7 @@ def run(source, config=REUSE32, name="t"):
     pipeline = Pipeline(program, config)
     pipeline.run()
     assert_matches_oracle(pipeline, oracle)
+    assert_engines_agree(pipeline)
     return pipeline
 
 

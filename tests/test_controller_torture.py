@@ -14,7 +14,7 @@ from repro.arch.validate import run_validated
 from repro.isa.assembler import assemble
 from repro.isa.interpreter import run_program
 
-from tests.helpers import assert_matches_oracle
+from tests.helpers import assert_engines_agree, assert_matches_oracle
 
 
 def run_exact(source, iq_size=16, **config_kwargs):
@@ -25,6 +25,7 @@ def run_exact(source, iq_size=16, **config_kwargs):
     pipeline = Pipeline(program, config)
     run_validated(pipeline, every=4)
     assert_matches_oracle(pipeline, oracle)
+    assert_engines_agree(pipeline)
     return pipeline
 
 

@@ -85,6 +85,16 @@ def test_engines_bit_exact_trace_mode(suite, kernel, iq):
     assert pipeline.stats.as_dict() == want_stats
 
 
+@pytest.mark.parametrize("reuse_mode", ["loop", "trace"])
+def test_engines_share_one_controller_implementation(suite, reuse_mode):
+    """Both cores drive the same reuse controller class; the array core
+    keeps no controller logic of its own."""
+    program = suite.program("tsf")
+    config = _grid_config(32, reuse_mode)
+    assert type(FastPipeline(program, config).controller) \
+        is type(Pipeline(program, config).controller)
+
+
 def test_both_cores_satisfy_the_interface(suite):
     program = suite.program("tsf")
     config = _grid_config(32)

@@ -3,13 +3,15 @@
 ``assert_matches_oracle`` moved from ``tests/helpers.py`` into
 :mod:`repro.fuzz.oracle`; these tests pin its contract (the failure
 message names the *first* diverging register or memory word) and the
-three-way :func:`run_differential` entry point the fuzzer drives.
+three- and four-way :func:`run_differential` entry point the fuzzer
+drives.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.arch.fastcore import FastPipeline
 from repro.arch.pipeline import Pipeline
 from repro.fuzz.coverage import CoverageProbe, occupancy_bucket
 from repro.fuzz.oracle import (
@@ -19,6 +21,7 @@ from repro.fuzz.oracle import (
     run_differential,
 )
 from repro.isa.assembler import assemble
+from repro.isa.interpreter import run_program
 
 
 class _FakeStats:
@@ -129,6 +132,38 @@ class TestRunDifferential:
         assert outcome.divergence is not None
         assert outcome.divergence.kind == "crash"
         assert "injected simulator fault" in outcome.divergence.got
+
+    def test_four_way_oracle_agrees_on_records(
+            self, tight_loop_program, small_config):
+        outcome = run_differential(tight_loop_program, small_config,
+                                   engine="array")
+        assert outcome.ok
+
+    def test_array_record_mismatch_is_a_record_divergence(
+            self, tight_loop_program, small_config, monkeypatch):
+        # skew one counter only the array core's cycle loop writes: the
+        # architectural state still matches, the record does not
+        real_run = FastPipeline._run
+
+        def skewed(self, limit, single):
+            real_run(self, limit, single)
+            self.stats.btb_bubbles += 1
+
+        monkeypatch.setattr(FastPipeline, "_run", skewed)
+        fast = FastPipeline(tight_loop_program,
+                            small_config.replace(reuse_enabled=True))
+        fast.run()
+        assert first_divergence(fast, run_program(tight_loop_program)) \
+            is None
+        outcome = run_differential(tight_loop_program, small_config,
+                                   engine="array")
+        divergence = outcome.divergence
+        assert divergence is not None
+        assert (divergence.mode, divergence.kind, divergence.location) \
+            == ("reuse-array", "record", "btb_bubbles")
+        assert int(divergence.got) == int(divergence.want) + 1
+        assert divergence.describe().startswith(
+            "[reuse-array] activity record btb_bubbles: ")
 
 
 class TestOccupancyBucket:

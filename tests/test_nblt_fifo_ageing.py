@@ -11,7 +11,7 @@ from repro.arch.pipeline import Pipeline
 from repro.isa.assembler import assemble
 from repro.isa.interpreter import run_program
 
-from tests.helpers import assert_matches_oracle
+from tests.helpers import assert_engines_agree, assert_matches_oracle
 
 
 def nested_block(index, inner_trips=6, outer_trips=3):
@@ -42,6 +42,7 @@ def run(source, nblt_size=8, iq_size=32):
     pipeline = Pipeline(program, config)
     pipeline.run()
     assert_matches_oracle(pipeline, oracle)
+    assert_engines_agree(pipeline)
     return pipeline
 
 

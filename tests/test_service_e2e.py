@@ -359,3 +359,37 @@ def test_unknown_sweep_and_incomplete_results(tmp_path):
                                            timeout=DEADLINE)
 
     asyncio.run(case())
+
+
+def test_request_latency_excludes_keep_alive_idle_time(tmp_path):
+    """``service_request_seconds`` times a request from the arrival of
+    its request line: the idle gap before the second request on a
+    kept-alive connection must not show up in the histogram."""
+    gap = 0.5
+    request = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+
+    async def exchange(reader, writer):
+        writer.write(request)
+        await writer.drain()
+        head = await reader.readuntil(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        length = next(int(line.split(b":", 1)[1])
+                      for line in head.split(b"\r\n")
+                      if line.lower().startswith(b"content-length:"))
+        await reader.readexactly(length)
+
+    async def case():
+        async with service(tmp_path, workers=1) as (svc, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                await asyncio.wait_for(exchange(reader, writer), DEADLINE)
+                await asyncio.sleep(gap)
+                await asyncio.wait_for(exchange(reader, writer), DEADLINE)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            histogram = svc.metrics.get("service_request_seconds")
+            assert histogram.count(route="/healthz") == 2
+            assert histogram.sum(route="/healthz") < gap / 2
+
+    asyncio.run(case())

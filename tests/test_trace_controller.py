@@ -20,7 +20,7 @@ from repro.core.trace_controller import TraceHeadTable, TraceReuseController
 from repro.isa.assembler import assemble
 from repro.isa.interpreter import run_program
 
-from tests.helpers import assert_matches_oracle
+from tests.helpers import assert_engines_agree, assert_matches_oracle
 
 
 def trace_config(iq_size=32, **kwargs):
@@ -37,6 +37,7 @@ def run_trace(source, iq_size=32, validate=False, **config_kwargs):
     else:
         pipeline.run()
     assert_matches_oracle(pipeline, oracle)
+    assert_engines_agree(pipeline)
     return pipeline
 
 
