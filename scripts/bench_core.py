@@ -8,16 +8,20 @@ and writes ``benchmarks/BENCH_core.json``:
 * **cycles/sec per kernel per engine** -- wall time of construct+run,
   best of ``--repeats`` (the quantity a sweep actually pays; the
   predecoded program image is shared and cached, exactly as in a sweep);
-* **speedup** (array over object) per kernel, plus min/geomean summary;
+* **speedup** (array over object) per kernel -- the median of paired
+  ratios: each repeat times one object run and one array run back to
+  back, alternating which goes first, so a drift in the host's speed
+  moves both halves of a pair instead of deciding the ratio -- plus a
+  min/geomean summary;
 * **peak traced heap bytes** per kernel per engine (``tracemalloc``
   around construct+run) so the two cores' memory profiles are
   comparable -- skipped under ``--quick``.
 
-CI runs ``--quick --fail-below 3.0``: one repeat, no memory pass, exit
-non-zero if any kernel's array engine drops below 3x the object engine.
-The committed ``BENCH_core.json`` comes from a full (default) run and is
-the repo's tracked perf trajectory -- regenerate it when either core
-changes materially.
+CI runs ``--quick --fail-below 3.0``: no memory pass, exit non-zero if
+any kernel's median paired speedup is below 3x.  The committed
+``BENCH_core.json`` comes from a full (default) run and is the repo's
+tracked perf trajectory -- regenerate it when either core changes
+materially.
 
 Usage::
 
@@ -33,6 +37,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import sys
 import time
 import tracemalloc
@@ -59,23 +64,27 @@ def _record_json(pipeline) -> str:
                       sort_keys=True)
 
 
-def _time_engine(core, program, config, repeats: int):
-    """Best-of-``repeats`` wall seconds for construct+run; returns
-    ``(best_wall, cycles, record_json)``."""
-    best = math.inf
-    cycles = 0
-    record = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        pipeline = core(program, config)
-        stats = pipeline.run()
-        wall = time.perf_counter() - start
-        if wall < best:
-            best = wall
-        cycles = stats.cycles
-        if record is None:  # capture outside the timed region, once
-            record = _record_json(pipeline)
-    return best, cycles, record
+def _time_paired(program, config, repeats: int):
+    """Time ``repeats`` object/array pairs of construct+run, alternating
+    which engine goes first; returns ``(walls, cycles, records,
+    ratios)`` with ``walls[engine]`` the per-repeat wall seconds and
+    ``ratios`` the per-pair object/array wall ratios (== speedups: both
+    runs simulate the same cycles)."""
+    walls = {engine: [] for engine in ENGINES}
+    cycles = {}
+    records = {}
+    for repeat in range(repeats):
+        order = sorted(ENGINES, reverse=bool(repeat % 2))
+        for engine in order:
+            start = time.perf_counter()
+            pipeline = ENGINES[engine](program, config)
+            stats = pipeline.run()
+            walls[engine].append(time.perf_counter() - start)
+            cycles[engine] = stats.cycles
+            if engine not in records:  # captured outside the timed region
+                records[engine] = _record_json(pipeline)
+    ratios = [obj / arr for obj, arr in zip(walls["object"], walls["array"])]
+    return walls, cycles, records, ratios
 
 
 def _peak_bytes(core, program, config) -> int:
@@ -94,17 +103,17 @@ def _peak_bytes(core, program, config) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="CI mode: one repeat, skip the memory pass")
-    parser.add_argument("--repeats", type=int, default=None, metavar="N",
-                        help="timing repeats per engine per kernel "
-                             "(default 3; 1 with --quick)")
+                        help="CI mode: skip the memory pass")
+    parser.add_argument("--repeats", type=int, default=3, metavar="N",
+                        help="object/array timing pairs per kernel "
+                             "(default 3)")
     parser.add_argument("--out", default=DEFAULT_OUT, metavar="PATH",
                         help="report path (default benchmarks/"
                              "BENCH_core.json)")
     parser.add_argument("--fail-below", type=float, default=None,
                         metavar="RATIO",
-                        help="exit non-zero if any kernel's array/object "
-                             "speedup is below RATIO")
+                        help="exit non-zero if any kernel's median "
+                             "paired array/object speedup is below RATIO")
     parser.add_argument("--kernels", nargs="+", metavar="NAME",
                         default=list(BENCHMARK_NAMES),
                         help="kernels to benchmark (default: all)")
@@ -113,7 +122,9 @@ def main(argv=None) -> int:
                         help="reuse controller variant the benchmarked "
                              "machine runs (default: loop)")
     args = parser.parse_args(argv)
-    repeats = args.repeats or (1 if args.quick else 3)
+    repeats = args.repeats
+    if repeats < 1:
+        parser.error("--repeats must be >= 1")
 
     for name in args.kernels:
         if name not in BENCHMARK_NAMES:
@@ -126,14 +137,14 @@ def main(argv=None) -> int:
     speedups = []
     for name in args.kernels:
         program = suite.program(name)
+        walls, cycles, records, ratios = _time_paired(program, config,
+                                                      repeats)
         per_engine = {}
-        records = {}
         for engine, core in sorted(ENGINES.items()):
-            wall, cycles, records[engine] = _time_engine(
-                core, program, config, repeats)
+            best = min(walls[engine])
             per_engine[engine] = {
-                "best_wall_seconds": round(wall, 6),
-                "cycles_per_second": round(cycles / wall, 1),
+                "best_wall_seconds": round(best, 6),
+                "cycles_per_second": round(cycles[engine] / best, 1),
             }
             if not args.quick:
                 per_engine[engine]["peak_traced_bytes"] = \
@@ -144,12 +155,12 @@ def main(argv=None) -> int:
                   f"refusing to report a speedup for broken output",
                   file=sys.stderr)
             return 2
-        speedup = (per_engine["array"]["cycles_per_second"]
-                   / per_engine["object"]["cycles_per_second"])
+        speedup = statistics.median(ratios)
         speedups.append(speedup)
         kernels[name] = {
             "engines": per_engine,
             "speedup_array_over_object": round(speedup, 2),
+            "paired_speedups": [round(ratio, 3) for ratio in ratios],
             "records_identical": True,
         }
         print(f"{name:8s} object {per_engine['object']['cycles_per_second']:>10,.0f} c/s   "
@@ -170,6 +181,9 @@ def main(argv=None) -> int:
             "repeats": repeats,
             "quick": args.quick,
             "timed_region": "pipeline construction + run() to halt",
+            "speedup": "median of per-repeat object/array wall ratios, "
+                       "the two runs of a pair back to back, order "
+                       "alternating",
             "python": platform.python_version(),
         },
         "kernels": kernels,

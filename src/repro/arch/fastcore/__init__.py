@@ -1,4 +1,4 @@
-"""The array-based pipeline core (flat-state no-probe fast path)."""
+"""The array-based pipeline core (flat-state columns; the default engine)."""
 
 from repro.arch.fastcore.image import CoreImage, image_for
 from repro.arch.fastcore.pipeline import FastPipeline

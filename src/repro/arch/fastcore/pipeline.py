@@ -43,10 +43,16 @@ branch predictor, the loop cache, functional memory and the
 architectural register file -- are likewise the real objects shared with
 the object core, so timing and counters agree to the byte.
 
-Probes need per-instruction lifecycle objects, so a probe attached
-before the first cycle transparently swaps in a delegate object core;
-attaching after the core has started is an error.  See
-``docs/pipeline.md``.
+Cycle probes that declare
+:attr:`~repro.arch.probe.PipelineProbe.core_interface_only` (the
+telemetry sampler, the energy-attribution probe) run natively: ``run()``
+then advances one cycle at a time through the single-cycle path and
+calls them after each, over read-only ``iq`` / ``rob`` / ``lsq``
+occupancy views.  Any other probe (stage probes such as the tracer, the
+invariant checker) needs per-instruction lifecycle objects, so attaching
+one before the first cycle swaps in a delegate object core and moves the
+native probes onto it; attaching one after the core has started is an
+error.  See ``docs/pipeline.md``.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ from repro.arch.fastcore.image import (
 from repro.arch.loopcache import LoopCacheController
 from repro.arch.mem.hierarchy import MemoryHierarchy
 from repro.arch.pipeline import Pipeline, SimulationTimeout
+from repro.arch.probe import overrides_hook
 from repro.arch.regfile import RegisterFile
 from repro.arch.stats import PipelineStats
 from repro.arch.trace import PipelineTracer
@@ -98,15 +105,40 @@ class _FetchView:
         self.loop_cache = loop_cache
 
 
+class _Occupancy:
+    """Read-only view of how many items one of the core's queues holds."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items):
+        self._items = items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    @property
+    def occupancy(self) -> int:
+        return len(self._items)
+
+
+def _runs_natively(probe) -> bool:
+    """True if the array core can drive ``probe`` without a delegate."""
+    return (getattr(type(probe), "core_interface_only", False)
+            and overrides_hook(probe, "on_cycle")
+            and not overrides_hook(probe, "record")
+            and not overrides_hook(probe, "record_squash"))
+
+
 class FastPipeline:
     """Cycle-level out-of-order core on flat slot columns."""
 
     __slots__ = (
         "program", "config", "mem_image", "stats", "hierarchy", "predictor",
-        "regfile", "controller", "fetch_unit",
+        "regfile", "controller", "fetch_unit", "iq", "rob", "lsq",
         "cycle", "halted",
         "_img", "_seq", "_pc", "_stall_until",
-        "_started", "_delegate", "_loop_cache", "_lc_decoded",
+        "_started", "_delegate", "_cycle_probes",
+        "_loop_cache", "_lc_decoded",
         "_cap", "_ecap", "_slot_bits", "_smask",
         "_d_idx", "_d_seq", "_d_packed", "_d_pc",
         "_d_pred_taken", "_d_pred_target",
@@ -153,6 +185,7 @@ class FastPipeline:
         self._stall_until = 0
         self._started = False
         self._delegate: Optional[Pipeline] = None
+        self._cycle_probes: List = []
 
         # dyn slots: every in-flight dynamic instruction is in exactly one
         # of {fetch queue, decode buffer, ROB}, so this capacity can never
@@ -222,6 +255,9 @@ class FastPipeline:
         self._pending_stores: List = []
         self._fu_free = [[0] * config.num_ialu, [0] * config.num_imult,
                          [0] * config.num_fpalu, [0] * config.num_fpmult]
+        self.iq = _Occupancy(self._iq_set)
+        self.rob = _Occupancy(self._rob)
+        self.lsq = _Occupancy(self._lsq)
 
         if tracer is not None:
             self.attach_probe(tracer)
@@ -236,14 +272,23 @@ class FastPipeline:
         return None
 
     def attach_probe(self, probe) -> None:
-        """Attach an observer by falling back to a delegate object core.
+        """Attach an observer, natively or through a delegate object core.
 
-        Probes observe per-instruction lifecycle objects the slot engine
-        does not materialise, so the first attach (which must happen
-        before the first cycle) builds an object-core delegate over the
-        same program/config/memory and rebinds every observable surface
-        to it; subsequent cycles run there.
+        A cycle probe that declares ``core_interface_only`` runs on this
+        core, at any cycle.  Any other probe observes per-instruction
+        lifecycle objects the slot engine does not materialise, so its
+        attach (which must happen before the first cycle) builds an
+        object-core delegate over the same program/config/memory,
+        rebinds every observable surface to it and moves the native
+        probes onto it; subsequent cycles run there.
         """
+        if self._delegate is None and _runs_natively(probe):
+            if probe in self._cycle_probes:
+                raise ValueError(f"probe {probe!r} already attached")
+            self._cycle_probes.append(probe)
+            if overrides_hook(probe, "on_attach"):
+                probe.on_attach(self)
+            return
         if self._delegate is None:
             if self._started:
                 raise RuntimeError(
@@ -262,6 +307,14 @@ class FastPipeline:
             self.regfile = delegate.regfile
             self.fetch_unit = delegate.fetch_unit
             self.controller = delegate.controller
+            self.iq = delegate.iq
+            self.rob = delegate.rob
+            self.lsq = delegate.lsq
+            native, self._cycle_probes = self._cycle_probes, []
+            for moved in native:
+                if overrides_hook(moved, "on_detach"):
+                    moved.on_detach(self)
+                delegate.attach_probe(moved)
         self._delegate.attach_probe(probe)
 
     def detach_probe(self, probe) -> None:
@@ -269,7 +322,11 @@ class FastPipeline:
         if self._delegate is not None:
             self._delegate.detach_probe(probe)
             return
-        raise ValueError(f"probe {probe!r} is not attached")
+        if probe not in self._cycle_probes:
+            raise ValueError(f"probe {probe!r} is not attached")
+        self._cycle_probes.remove(probe)
+        if overrides_hook(probe, "on_detach"):
+            probe.on_detach(self)
 
     # ------------------------------------------------------------------ run
 
@@ -283,7 +340,10 @@ class FastPipeline:
         self._started = True
         limit = max_cycles if max_cycles is not None \
             else self.config.max_cycles
-        self._run(limit, False)
+        if self._cycle_probes:
+            self._run_probed(limit)
+        else:
+            self._run(limit, False)
         return self.stats
 
     def step(self) -> None:
@@ -295,6 +355,36 @@ class FastPipeline:
             return
         self._started = True
         self._run(0, True)
+        for probe in self._cycle_probes:
+            probe.on_cycle(self)
+
+    def _run_probed(self, limit: int) -> None:
+        """``run()`` with native cycle probes: the object core's loop.
+
+        Each :meth:`step` leaves the counters flushed to ``stats``, so
+        the probes read the same end-of-cycle values as on the object
+        core.
+        """
+        stats = self.stats
+        stall_guard = 0
+        while not self.halted:
+            if self.cycle >= limit:
+                raise SimulationTimeout(
+                    f"no halt after {self.cycle} cycles "
+                    f"({stats.committed} committed)")
+            before = stats.committed
+            self.step()
+            if stats.committed == before:
+                stall_guard += 1
+                if stall_guard > 200_000:
+                    head = (self._slot_repr(self._rob[0]) if self._rob
+                            else None)
+                    raise SimulationTimeout(
+                        f"pipeline stalled for {stall_guard} cycles at "
+                        f"cycle {self.cycle} (rob head: {head},"
+                        f" state: {self.controller.state})")
+            else:
+                stall_guard = 0
 
     def architectural_registers(self) -> List:
         """Committed register values (for oracle comparison)."""

@@ -5,14 +5,17 @@ implements.  Two engines exist today:
 
 * :class:`repro.arch.pipeline.Pipeline` -- the **object core**: one
   ``DynInst`` object per in-flight instruction, queue entries as objects.
-  Reference semantics, full probe support, the engine every probe,
-  tracer and crosscheck runs against.
-* :class:`repro.arch.fastcore.FastPipeline` -- the **array core**: all
-  in-flight state lives in preallocated parallel columns indexed by slot
-  id.  Bit-exact with the object core (byte-identical activity records)
-  but several times faster on the no-probe path.  Attaching a probe
-  *before the first cycle* transparently falls back to a delegate object
-  core so observers keep working unchanged.
+  Reference semantics and full probe support: the executable spec the
+  fuzz oracle and the crosscheck harness check against, and the core
+  stage tracers and the invariant checker run on.
+* :class:`repro.arch.fastcore.FastPipeline` -- the **array core**, the
+  default: all in-flight state lives in preallocated parallel columns
+  indexed by slot id.  Bit-exact with the object core (byte-identical
+  activity records) but several times faster.  Cycle probes that declare
+  :attr:`~repro.arch.probe.PipelineProbe.core_interface_only` run on it
+  natively; attaching any other probe *before the first cycle*
+  transparently falls back to a delegate object core so observers keep
+  working unchanged.
 
 ``sim.simulator.run_timing(engine=...)`` selects between them; see
 ``docs/pipeline.md`` for when to pick which.
@@ -33,7 +36,10 @@ class CoreInterface(Protocol):
     callers): ``program``, ``config``, ``stats``, ``hierarchy``,
     ``predictor``, ``mem_image``, ``fetch_unit`` (needs ``.loop_cache``),
     ``controller`` (needs ``.events`` / ``.transitions`` / ``.state`` /
-    ``.gated`` / ``.enabled``), ``cycle`` and ``halted``.
+    ``.gated`` / ``.enabled``), ``cycle`` and ``halted``; and, for cycle
+    probes, ``iq`` (needs ``.occupancy``), ``rob`` and ``lsq`` (need
+    ``len()``).  This is the surface a ``core_interface_only`` probe may
+    read.
     """
 
     cycle: int

@@ -23,6 +23,11 @@ beyond the ``is not None`` checks it always performed.
 Probes must be **passive**: they may read any pipeline state but must not
 mutate it -- the test suite asserts that probed and probe-free runs produce
 bit-identical statistics.
+
+The array core (:class:`~repro.arch.fastcore.FastPipeline`) has no
+per-instruction objects.  It drives a cycle probe itself only when the
+probe's class declares :attr:`PipelineProbe.core_interface_only`; any
+other probe makes it fall back to an object-core delegate.
 """
 
 from __future__ import annotations
@@ -35,6 +40,15 @@ class PipelineProbe:
     defines ``record`` / ``record_squash`` / ``on_cycle`` methods can be
     attached, and is registered for exactly the hooks it defines.
     """
+
+    #: Declared by a cycle probe whose ``on_cycle`` reads only the
+    #: observation surface of :class:`~repro.arch.interface.CoreInterface`
+    #: (counters, controller, ``iq.occupancy``, ``len(rob)``,
+    #: ``len(lsq)``): the array core then runs it natively instead of
+    #: falling back to the object core.  A property of the probe's code,
+    #: not a setting; ``False`` (the default) means "needs the object
+    #: core".
+    core_interface_only: bool = False
 
     def on_attach(self, pipeline) -> None:
         """Called when the probe is attached to ``pipeline``."""

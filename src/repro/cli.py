@@ -124,11 +124,11 @@ def _machine_config(args) -> MachineConfig:
 
 def _add_engine_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=("object", "array"),
-                        default="object",
-                        help="pipeline-core engine: 'object' is the "
-                             "reference core, 'array' the flat-state "
-                             "fast path (bit-exact; see "
-                             "docs/pipeline.md); default object")
+                        default="array",
+                        help="pipeline-core engine: 'array' is the "
+                             "flat-state production core, 'object' the "
+                             "reference core (bit-exact; see "
+                             "docs/pipeline.md); default array")
 
 
 def _add_machine_options(parser: argparse.ArgumentParser) -> None:

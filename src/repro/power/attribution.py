@@ -69,14 +69,15 @@ class EnergyAttributionProbe(PipelineProbe):
 
     Passive by contract: it only reads counters (via
     :func:`~repro.power.activity.harvest_counters`) and writes to its
-    own registry.  Works on both engines -- the array core's
-    ``attach_probe`` swaps in the documented object-core delegate, after
-    which this probe sees an ordinary object pipeline.
+    own registry.  That is all of the core it touches, so it declares
+    ``core_interface_only`` and runs natively on the array core.
 
     ``stride`` trades sampling freshness against cost: the model is
     re-evaluated every ``stride`` cycles (and once more at
     :meth:`finalize`, which closes the run exactly).
     """
+
+    core_interface_only = True
 
     def __init__(self, registry: Optional[MetricRegistry] = None,
                  params: PowerParams = DEFAULT_PARAMS, stride: int = 64,

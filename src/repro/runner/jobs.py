@@ -13,13 +13,20 @@ knob automatically misses the cache instead of serving a stale result.
 The power parameters are deliberately **not** part of the key -- power is
 post-hoc arithmetic over the cached activity record, so jobs differing
 only in params share one timing simulation (see ``docs/activity.md``).
+
+Both digests are memoized: a warm figure re-run keys every job again, and
+re-disassembling each program dominated that path.  A program's digest is
+remembered per :class:`~repro.isa.program.Program` object (programs are
+not edited after assembly), a configuration's per frozen value.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
@@ -41,12 +48,13 @@ class SimJob:
     #: Power-model parameters (evaluation-time only; never part of the
     #: cache key, so any params variant reuses the same timing run).
     params: PowerParams = field(default=DEFAULT_PARAMS)
-    #: Pipeline-core engine the timing run executes on (``object`` or
-    #: ``array``; see :data:`repro.sim.simulator.ENGINES`).  Part of the
-    #: cache key: the engines are proven bit-exact, but a cached record
-    #: must always say which core actually produced it, so an engine
-    #: bug can never hide behind the other engine's cache entries.
-    engine: str = "object"
+    #: Pipeline-core engine the timing run executes on (``array``, the
+    #: default, or ``object``; see :data:`repro.sim.simulator.ENGINES`).
+    #: Part of the cache key: the engines are proven bit-exact, but a
+    #: cached record must always say which core actually produced it, so
+    #: an engine bug can never hide behind the other engine's cache
+    #: entries (see ``docs/runner.md``).
+    engine: str = "array"
 
     def describe(self) -> str:
         """Short human-readable label for progress lines."""
@@ -70,9 +78,17 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=1024)
 def config_digest(config: MachineConfig) -> str:
     """Stable hash of every field of a machine configuration."""
     return _digest(json.dumps(dataclasses.asdict(config), sort_keys=True))
+
+
+#: ``program_digest`` results, keyed on the program object itself (not
+#: its name: distinct programs may share one); an entry dies with its
+#: program.
+_PROGRAM_DIGESTS: "weakref.WeakKeyDictionary[Program, str]" = \
+    weakref.WeakKeyDictionary()
 
 
 def program_digest(program: Program) -> str:
@@ -82,12 +98,16 @@ def program_digest(program: Program) -> str:
     data image.  The binary instruction encoding is deliberately not used:
     some calibrated kernels carry immediates outside the encodable range.
     """
-    sha = hashlib.sha256()
-    sha.update(program.listing().encode("utf-8"))
-    for address, data in sorted(program.data_segments):
-        sha.update(address.to_bytes(8, "little"))
-        sha.update(data)
-    return sha.hexdigest()
+    digest = _PROGRAM_DIGESTS.get(program)
+    if digest is None:
+        sha = hashlib.sha256()
+        sha.update(program.listing().encode("utf-8"))
+        for address, data in sorted(program.data_segments):
+            sha.update(address.to_bytes(8, "little"))
+            sha.update(data)
+        digest = sha.hexdigest()
+        _PROGRAM_DIGESTS[program] = digest
+    return digest
 
 
 def job_key(job: SimJob, program: Program) -> str:

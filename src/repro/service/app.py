@@ -382,12 +382,21 @@ class SimService:
         keys = await loop.run_in_executor(self.pool._threads,
                                           self._keys_for, specs)
         sweep_id = sweep_id_for(keys)
-        # probe the cache off-loop; admission below is await-free, so a
-        # concurrent identical submission interleaves only before or
-        # after it and converges on the same jobs either way
-        cached = await loop.run_in_executor(
-            self.pool._threads,
-            lambda: [self.cache.load(key) is not None for key in keys])
+        # probe the cache off-loop, and only for keys not already done
+        # (admission never reads a done key's hit, and done is final);
+        # admission below is await-free, so a concurrent identical
+        # submission interleaves only before or after it and converges
+        # on the same jobs either way
+        jobs = self.queue.jobs
+        unresolved = [key for key in keys
+                      if key not in jobs or jobs[key].state != "done"]
+        hits = set()
+        if unresolved:
+            hits = await loop.run_in_executor(
+                self.pool._threads,
+                lambda: {key for key in unresolved
+                         if self.cache.load(key) is not None})
+        cached = [key in hits for key in keys]
 
         new_jobs = sum(
             1 for key, hit in zip(keys, cached)

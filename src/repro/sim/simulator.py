@@ -32,8 +32,9 @@ from repro.sim.results import SimulationResult
 
 #: The selectable pipeline-core engines (see ``docs/pipeline.md``).
 #: Both implement :class:`repro.arch.interface.CoreInterface` and
-#: produce byte-identical activity records; ``array`` is the no-probe
-#: fast path, ``object`` the reference implementation.
+#: produce byte-identical activity records; ``array`` is the default,
+#: production core, ``object`` the reference implementation the oracles
+#: check it against.
 ENGINES = {
     "object": Pipeline,
     "array": FastPipeline,
@@ -55,7 +56,7 @@ def run_timing(program: Program, config: MachineConfig,
                probes: Iterable = (),
                keep_pipeline: bool = False,
                telemetry=None,
-               engine: str = "object"):
+               engine: str = "array"):
     """Run ``program`` to its committed ``halt``; timing only.
 
     Returns the run's :class:`~repro.power.activity.ActivityRecord`.
@@ -67,10 +68,12 @@ def run_timing(program: Program, config: MachineConfig,
     afterwards (see ``docs/telemetry.md``).  With ``keep_pipeline=True``
     the return value is a ``(record, pipeline)`` pair instead.
 
-    ``engine`` selects the pipeline core (:data:`ENGINES`): the two
-    engines leave identical records, so the choice only affects wall
-    time.  Attaching any probe (including telemetry) to the ``array``
-    engine makes it fall back to a delegate object core internally --
+    ``engine`` selects the pipeline core (:data:`ENGINES`, default
+    ``array``): the two engines leave identical records, so the choice
+    only affects wall time.  On the ``array`` engine the telemetry
+    sampler and the energy-attribution probe run natively; a stage probe
+    (a tracer, e.g. ``TelemetrySession(stages=True)``) or an invariant
+    checker makes it fall back to a delegate object core internally --
     observability always wins over speed.
     """
     core = core_for(engine)
@@ -121,7 +124,7 @@ def simulate(program: Program, config: MachineConfig,
              max_cycles: Optional[int] = None,
              keep_pipeline: bool = False,
              telemetry=None,
-             engine: str = "object") -> SimulationResult:
+             engine: str = "array") -> SimulationResult:
     """Run ``program`` to its committed ``halt`` on ``config``.
 
     Parameters
@@ -137,13 +140,14 @@ def simulate(program: Program, config: MachineConfig,
     max_cycles:
         Optional cycle budget override.
     keep_pipeline:
-        Attach the finished :class:`~repro.arch.pipeline.Pipeline` to the
-        result (for tests that inspect microarchitectural state).
+        Attach the finished pipeline core to the result (pass
+        ``engine="object"`` to inspect per-instruction microarchitectural
+        state).
     telemetry:
         Optional :class:`~repro.telemetry.TelemetrySession` threaded
         through the timing run and attached to the result.
     engine:
-        Pipeline-core engine (``object`` or ``array``; see
+        Pipeline-core engine (``array``, the default, or ``object``; see
         :data:`ENGINES` and ``docs/pipeline.md``).
     """
     record, pipeline = run_timing(program, config, max_cycles=max_cycles,

@@ -170,13 +170,18 @@ class TelemetrySession:
         return builder.build()
 
     def write_trace(self, path) -> Dict[str, Any]:
-        """Build, validate and write the trace JSON; returns it."""
+        """Build, validate and write the trace JSON; returns it.
+
+        Written compact in one ``json.dumps`` call: ``json.dump`` and any
+        ``indent`` use the pure-Python encoder, several times slower on
+        a trace of tens of thousands of events.
+        """
         import json
 
         payload = self.build_timeline()
         validate_trace(payload)
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
+            handle.write(json.dumps(payload, separators=(",", ":")))
             handle.write("\n")
         return payload
 

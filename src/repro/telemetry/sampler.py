@@ -39,6 +39,9 @@ SERIES = ("cycle", "iq_occupancy", "iq_buffered", "rob_occupancy",
 class SamplingProbe(PipelineProbe):
     """Passive cycle probe recording strided occupancy/state series."""
 
+    # reads only the controller, iq.occupancy, len(rob) and len(lsq)
+    core_interface_only = True
+
     def __init__(self, stride: int = 1):
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")

@@ -93,6 +93,44 @@ class TestJobKeys:
         assert program_digest(original) != program_digest(optimized)
         assert job_key(job, original) != job_key(job, optimized)
 
+    def test_memoized_keys_equal_fresh_keys_over_the_figure5_grid(
+            self, monkeypatch):
+        """Both digests are memoized (per program object, per config
+        value): over every Figure 5 job a memoized key must equal one
+        computed from scratch, and re-keying must not disassemble a
+        program again."""
+        import copy
+
+        from repro.arch.config import SWEEP_IQ_SIZES
+        from repro.isa.program import Program
+        from repro.workloads.suite import BENCHMARK_NAMES
+
+        suite = WorkloadSuite()
+        grid = [(name, MachineConfig().with_iq_size(iq).replace(
+                    reuse_enabled=reuse))
+                for name in BENCHMARK_NAMES for iq in SWEEP_IQ_SIZES
+                for reuse in (False, True)]
+        for name, config in grid:               # warm both memos
+            job_key(SimJob(name, config), suite.program(name))
+        listings = []
+        real_listing = Program.listing
+
+        def counting_listing(program):
+            listings.append(program.name)
+            return real_listing(program)
+
+        monkeypatch.setattr(Program, "listing", counting_listing)
+        memoized = [job_key(SimJob(name, config), suite.program(name))
+                    for name, config in grid]
+        assert listings == []
+        config_digest.cache_clear()
+        fresh = [job_key(SimJob(name, config),
+                         copy.deepcopy(suite.program(name)))
+                 for name, config in grid]
+        assert len(listings) == len(grid)
+        assert memoized == fresh
+        assert len(set(memoized)) == len(grid)
+
     def test_config_digest_covers_all_fields(self):
         base = MachineConfig()
         assert config_digest(base) != config_digest(

@@ -393,3 +393,35 @@ def test_request_latency_excludes_keep_alive_idle_time(tmp_path):
             assert histogram.sum(route="/healthz") < gap / 2
 
     asyncio.run(case())
+
+
+def test_warm_resubmit_of_a_finished_sweep_reads_no_cache_entry(
+        tmp_path, monkeypatch):
+    """Admission never reads a done job's cache hit, and done is final:
+    resubmitting a finished sweep must not load a single cache entry,
+    and still returns the all-hits receipt."""
+    async def case():
+        async with service(tmp_path, workers=1) as (svc, host, port):
+            async with ServiceClient(host, port,
+                                     client_id="warm") as client:
+                cold = await client.submit_sweep(**SWEEP)
+                await client.wait_complete(cold["sweep_id"],
+                                           timeout=DEADLINE)
+                loads = []
+                real_load = svc.cache.load
+
+                def counting_load(key):
+                    loads.append(key)
+                    return real_load(key)
+
+                monkeypatch.setattr(svc.cache, "load", counting_load)
+                first = await client.submit_sweep(**SWEEP)
+                second = await client.submit_sweep(**SWEEP)
+                assert loads == []
+                assert first == second
+                assert first["sweep_id"] == cold["sweep_id"]
+                assert (first["total"], first["cache_hits"],
+                        first["enqueued"], first["attached"]) \
+                    == (2, 2, 0, 0)
+
+    asyncio.run(case())
