@@ -41,10 +41,10 @@ import time
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.arch.config import MachineConfig  # noqa: E402
 from repro.power.activity import ActivityRecord  # noqa: E402
 from repro.power.model import PowerModel  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
-from repro.service.jobqueue import JobSpec  # noqa: E402
 from repro.telemetry import parse_prometheus, validate_trace  # noqa: E402
 
 SWEEP = {"benchmarks": ["tsf"], "iq_sizes": [32],
@@ -171,7 +171,7 @@ def check_energy(families: dict, results: dict) -> None:
                  in families["sim_energy_component"]["samples"])
     expected = 0.0
     for row in results["results"]:
-        config = JobSpec.from_dict(row).to_sim_job().config
+        config = MachineConfig.from_dict(row["result"]["config"])
         record = ActivityRecord.from_payload(row["record"])
         expected += PowerModel(config).total_energy(record)
     assert expected > 0.0, "no energy to reconcile"

@@ -10,7 +10,10 @@ service exists for:
    finishes the sweep -- jobs that finished before the crash must NOT
    be re-simulated;
 4. the identical sweep is resubmitted -- the receipt must show 100%
-   cache hits and zero enqueued simulations (the warm-cache path).
+   cache hits and zero enqueued simulations (the warm-cache path);
+5. a gshare + trace-reuse column (machine fields beyond the Figure 5
+   grid) is submitted, and its records must be byte-identical to
+   direct ``run_timing`` runs of the same configurations.
 
 Exits non-zero on any violated invariant.  Used by the ``service-smoke``
 CI job; runnable locally::
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import os
 import pathlib
 import signal
@@ -33,10 +37,18 @@ import time
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.arch.config import MachineConfig  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
+from repro.sim.simulator import run_timing  # noqa: E402
+from repro.workloads.suite import WorkloadSuite  # noqa: E402
 
 SWEEP = {"benchmarks": ["tsf", "wss"], "iq_sizes": [32, 64],
          "modes": ["baseline", "reuse"]}  # 8 jobs
+
+#: Machine fields beyond the grid, on one kernel's IQ-32 column.
+MACHINE = {"bpred_kind": "gshare", "reuse_mode": "trace"}
+MACHINE_SWEEP = {"benchmarks": ["tsf"], "iq_sizes": [32],
+                 "modes": ["baseline", "reuse"], **MACHINE}  # 2 jobs
 
 
 def log(message: str) -> None:
@@ -99,6 +111,26 @@ async def wait_healthy(port: int, proc: subprocess.Popen,
         except OSError:
             await asyncio.sleep(0.2)
     raise SystemExit("server never became healthy")
+
+
+async def check_machine_sweep(client: ServiceClient,
+                              timeout: float) -> None:
+    """Phase 5: a gshare/trace column matches direct runs byte for byte."""
+    receipt = await client.submit_sweep(**MACHINE_SWEEP)
+    status = await client.wait_complete(receipt["sweep_id"],
+                                        timeout=timeout)
+    assert status["complete"] and not status["failed"], status
+    rows = (await client.results(receipt["sweep_id"]))["results"]
+    assert len(rows) == 2, rows
+    program = WorkloadSuite().program("tsf")
+    for row in rows:
+        config = MachineConfig().with_iq_size(32).replace(
+            reuse_enabled=row["reuse"], **MACHINE)
+        direct = run_timing(program, config).to_payload()
+        assert json.dumps(row["record"], sort_keys=True) == \
+            json.dumps(direct, sort_keys=True), \
+            f"served record differs from direct run_timing: {row['key']}"
+    log(f"machine sweep: {MACHINE} column byte-identical to run_timing")
 
 
 def counter_total(metrics: dict, name: str, **labels) -> int:
@@ -182,6 +214,9 @@ async def run(args) -> int:
             assert warm["enqueued"] == 0, f"warm receipt: {warm}"
             log(f"warm resubmit: {warm['cache_hits']}/{total} cache hits, "
                 "0 enqueued")
+
+            # -- phase 5: machine fields beyond the grid ------------------
+            await check_machine_sweep(client, args.timeout)
     finally:
         kill_group(server, signal.SIGTERM)
     log("OK")
@@ -190,7 +225,9 @@ async def run(args) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="service lifecycle smoke test (kill -9 + resume)")
+        description="service lifecycle smoke test (kill -9 + resume, "
+                    "then a gshare/trace column checked against direct "
+                    "runs)")
     parser.add_argument("--port", type=int, default=0,
                         help="server port (0 = pick a free one)")
     parser.add_argument("--state-dir", default=".smoke-state")

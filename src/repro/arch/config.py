@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+import functools
+from typing import Any, Dict
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,25 @@ class MachineConfig:
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **kwargs)
 
+    def to_dict(self) -> Dict[str, Any]:
+        """Sparse JSON form: ``iq_size`` plus each field that differs
+        from ``MachineConfig().with_iq_size(iq_size)`` (the paper's sweep
+        rule); a differing cache or TLB is a dict of its differing
+        fields.  Memoized per config; :meth:`from_dict` inverts it."""
+        return {name: dict(value) if isinstance(value, dict) else value
+                for name, value in _sparse_dict(self).items()}
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "MachineConfig":
+        """Rebuild a config from :meth:`to_dict` or any subset of fields,
+        over the sweep rule's baseline.  An unknown key raises
+        ``ValueError``, a value of the wrong type (a bool for an int, too)
+        ``TypeError``; ``__post_init__`` checks the values."""
+        _check_type("config", payload, {})
+        iq_size = payload.get("iq_size", BASELINE.iq_size)
+        _check_type("iq_size", iq_size, BASELINE.iq_size)
+        return _apply(_sweep_point(iq_size), payload, "")
+
     def table1(self) -> str:
         """Render the configuration in the layout of the paper's Table 1."""
         rows = [
@@ -218,6 +239,51 @@ class MachineConfig:
         ]
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
+
+
+def _diff(value, base) -> Dict[str, Any]:
+    """Fields of dataclass ``value`` that differ from ``base``."""
+    out: Dict[str, Any] = {}
+    for name in value.__dataclass_fields__:
+        mine, theirs = getattr(value, name), getattr(base, name)
+        if mine != theirs:
+            out[name] = _diff(mine, theirs) \
+                if dataclasses.is_dataclass(mine) else mine
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _sweep_point(iq_size: int) -> MachineConfig:
+    return BASELINE.with_iq_size(iq_size)
+
+
+@functools.lru_cache(maxsize=1024)
+def _sparse_dict(config: MachineConfig) -> Dict[str, Any]:
+    return {"iq_size": config.iq_size,
+            **_diff(config, _sweep_point(config.iq_size))}
+
+
+def _check_type(name: str, value, default) -> None:
+    if type(value) is not type(default):  # exact: a bool is not an int
+        raise TypeError(f"{name} must be {type(default).__name__}, "
+                        f"got {value!r}")
+
+
+def _apply(base, payload: Dict[str, Any], prefix: str):
+    """``base`` with the fields ``payload`` names replaced, type-checked."""
+    changes = {}
+    for name, value in payload.items():
+        if name not in base.__dataclass_fields__:
+            raise ValueError(f"unknown field {prefix + name!r}")
+        default = getattr(base, name)
+        if dataclasses.is_dataclass(default):
+            _check_type(prefix + name, value, {})
+            value = _apply(default, value, f"{prefix}{name}.")
+        else:
+            _check_type(prefix + name, value, default)
+        if value != default:
+            changes[name] = value
+    return dataclasses.replace(base, **changes) if changes else base
 
 
 #: The paper's baseline configuration (64-entry issue queue, reuse off).

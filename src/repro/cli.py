@@ -538,14 +538,11 @@ def _cmd_fuzz(args) -> int:
         programs=args.programs,
         time_budget=args.time_budget,
         jobs=args.jobs,
-        iq_size=args.iq,
-        nblt_size=args.nblt,
-        buffering_strategy=args.strategy,
+        machine=_machine_config(args).replace(reuse_mode=args.reuse_mode),
         minimize=args.minimize,
         corpus_dir=args.corpus_dir,
         inject_bug=args.inject_bug,
         engine=args.engine,
-        reuse_mode=args.reuse_mode,
     )
     reporter = ProgressReporter(verbose=not args.quiet)
     campaign = FuzzCampaign(config, progress=reporter)

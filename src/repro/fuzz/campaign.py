@@ -42,8 +42,9 @@ from repro.isa.assembler import AssemblerError, assemble
 from repro.runner.executor import run_tasks
 from repro.runner.progress import ProgressReporter
 
-#: Campaign report schema version.
-REPORT_SCHEMA = 1
+#: Campaign report schema version (2: ``config.machine`` is the sparse
+#: :meth:`MachineConfig.to_dict` in place of flat machine fields).
+REPORT_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,10 @@ class CampaignConfig:
     time_budget: float = 60.0
     #: Worker processes (1 = in-process serial).
     jobs: int = 1
-    iq_size: int = 32
-    nblt_size: int = 8
-    buffering_strategy: str = "multi"
+    #: The machine the oracle legs run (each leg sets ``reuse_enabled``;
+    #: ``reuse_mode`` picks the reuse legs' controller).
+    machine: MachineConfig = field(
+        default_factory=lambda: MachineConfig().with_iq_size(32))
     #: Shrink findings to minimal reproducers.
     minimize: bool = True
     #: Directory findings / interesting mutants are written to (None =
@@ -72,15 +74,9 @@ class CampaignConfig:
     #: Oracle engine: ``array`` (default) runs the four-way oracle with
     #: the reuse-array leg, ``object`` the historical three-way one.
     engine: str = "array"
-    #: Controller variant the reuse legs run ("loop" or "trace"; see
-    #: docs/trace_reuse.md).
-    reuse_mode: str = "loop"
 
     def machine_config(self) -> MachineConfig:
-        return MachineConfig().with_iq_size(self.iq_size).replace(
-            nblt_size=self.nblt_size,
-            buffering_strategy=self.buffering_strategy,
-            reuse_mode=self.reuse_mode)
+        return self.machine
 
 
 @dataclass
@@ -119,10 +115,7 @@ def _evaluate(payload: Dict[str, Any]) -> Dict[str, Any]:
     in-process or in a pool worker interchangeably.  The fault-injection
     flag is scoped to exactly this evaluation.
     """
-    config = MachineConfig().with_iq_size(payload["iq_size"]).replace(
-        nblt_size=payload["nblt_size"],
-        buffering_strategy=payload["buffering_strategy"])
-    reuse_mode = payload.get("reuse_mode", "loop")
+    config = MachineConfig.from_dict(payload["config"])
     controller_module._INJECTED_BUG = payload.get("inject_bug")
     try:
         try:
@@ -130,8 +123,7 @@ def _evaluate(payload: Dict[str, Any]) -> Dict[str, Any]:
         except AssemblerError as exc:
             return {"invalid": str(exc)}
         outcome = run_differential(program, config,
-                                   engine=payload.get("engine", "object"),
-                                   reuse_mode=reuse_mode)
+                                   engine=payload.get("engine", "object"))
     finally:
         controller_module._INJECTED_BUG = None
     return {
@@ -200,12 +192,9 @@ class FuzzCampaign:
         return {
             "name": f"mutant-{index:05d}",
             "source": render(spec),
-            "iq_size": config.iq_size,
-            "nblt_size": config.nblt_size,
-            "buffering_strategy": config.buffering_strategy,
+            "config": config.machine.to_dict(),
             "inject_bug": config.inject_bug,
             "engine": config.engine,
-            "reuse_mode": config.reuse_mode,
         }
 
     def _fold(self, spec: ProgramSpec, result: Any) -> None:
@@ -273,9 +262,7 @@ class FuzzCampaign:
                 description=divergence.describe(),
                 source=finding.source,
                 seed=self.config.seed,
-                iq_size=self.config.iq_size,
-                nblt_size=self.config.nblt_size,
-                buffering_strategy=self.config.buffering_strategy,
+                config=self.config.machine.to_dict(),
                 expect="divergence",
                 spec=finding.spec,
             )
@@ -293,13 +280,10 @@ class FuzzCampaign:
             "config": {
                 "programs": config.programs,
                 "jobs": config.jobs,
-                "iq_size": config.iq_size,
-                "nblt_size": config.nblt_size,
-                "buffering_strategy": config.buffering_strategy,
+                "machine": config.machine.to_dict(),
                 "minimize": config.minimize,
                 "inject_bug": config.inject_bug,
                 "engine": config.engine,
-                "reuse_mode": config.reuse_mode,
             },
             "stopped_by": stopped_by,
             "programs_run": self.executed,

@@ -7,7 +7,8 @@ A corpus entry is a pair of files in one directory:
 
 ``<name>.json``
     A manifest: schema version, the campaign seed that produced it, the
-    machine configuration it must replay under, what kind of entry it is
+    machine configuration it must replay under (``config``: the sparse
+    :meth:`MachineConfig.to_dict`), what kind of entry it is
     (``regression`` -- a pinned historical near-miss that must keep
     matching; ``divergence`` -- a live finding awaiting a fix;
     ``coverage`` -- a mutant kept for the signatures it exercises), a
@@ -45,9 +46,8 @@ class CorpusEntry:
     description: str
     source: str
     seed: int = 0
-    iq_size: int = 32
-    nblt_size: int = 8
-    buffering_strategy: str = "multi"
+    #: :meth:`MachineConfig.to_dict` of the machine to replay under.
+    config: Dict[str, Any] = field(default_factory=lambda: {"iq_size": 32})
     #: ``match``: the three-way oracle must agree.  ``divergence``: the
     #: entry reproduces a live bug (never placed under ``tests/corpus``).
     expect: str = "match"
@@ -59,9 +59,7 @@ class CorpusEntry:
 
     def machine_config(self) -> MachineConfig:
         """The configuration this entry replays under."""
-        return MachineConfig().with_iq_size(self.iq_size).replace(
-            nblt_size=self.nblt_size,
-            buffering_strategy=self.buffering_strategy)
+        return MachineConfig.from_dict(self.config)
 
     def to_manifest(self) -> Dict[str, Any]:
         manifest: Dict[str, Any] = {
@@ -70,11 +68,7 @@ class CorpusEntry:
             "kind": self.kind,
             "description": self.description,
             "seed": self.seed,
-            "config": {
-                "iq_size": self.iq_size,
-                "nblt_size": self.nblt_size,
-                "buffering_strategy": self.buffering_strategy,
-            },
+            "config": dict(self.config),
             "expect": self.expect,
             "source_file": f"{self.name}.s",
         }
@@ -128,16 +122,13 @@ def load_entry(manifest_path: str) -> CorpusEntry:
             source = handle.read()
     except OSError as exc:
         raise CorpusError(f"cannot read {source_path}: {exc}")
-    config = manifest["config"]
     return CorpusEntry(
         name=manifest["name"],
         kind=manifest["kind"],
         description=manifest.get("description", ""),
         source=source,
         seed=manifest.get("seed", 0),
-        iq_size=config.get("iq_size", 32),
-        nblt_size=config.get("nblt_size", 8),
-        buffering_strategy=config.get("buffering_strategy", "multi"),
+        config=manifest["config"],
         expect=manifest.get("expect", "match"),
         min_events=dict(manifest.get("min_events", {})),
         spec=manifest.get("spec"),

@@ -184,8 +184,7 @@ def cycle_limit_for(oracle_instructions: int) -> int:
 def run_differential(program: Program, config: MachineConfig,
                      max_instructions: int = 1_000_000,
                      collect_coverage: bool = True,
-                     engine: str = "object",
-                     reuse_mode: str = "loop") -> DifferentialOutcome:
+                     engine: str = "object") -> DifferentialOutcome:
     """Run the differential oracle on one program.
 
     All pipeline modes run from the given ``config`` (its
@@ -206,9 +205,8 @@ def run_differential(program: Program, config: MachineConfig,
     reported against mode ``reuse`` first, the array leg only ever adds
     findings of its own.)
 
-    ``reuse_mode`` selects the controller variant the reuse legs run
-    (``"loop"`` or ``"trace"``; see ``docs/trace_reuse.md``) -- the
-    baseline leg is unaffected.
+    The reuse legs run the controller variant ``config.reuse_mode``
+    names (``"loop"`` or ``"trace"``; see ``docs/trace_reuse.md``).
     """
     oracle = run_program(program, max_instructions=max_instructions)
     limit = cycle_limit_for(oracle.instructions_executed)
@@ -223,9 +221,7 @@ def run_differential(program: Program, config: MachineConfig,
         raise ValueError(f"unknown engine {engine!r}; "
                          f"choose 'object' or 'array'")
     for mode, core, reuse in legs:
-        pipeline = core(program, config.replace(
-            reuse_enabled=reuse,
-            reuse_mode=reuse_mode if reuse else config.reuse_mode))
+        pipeline = core(program, config.replace(reuse_enabled=reuse))
         probe = None
         if mode == "reuse" and collect_coverage:
             probe = CoverageProbe()

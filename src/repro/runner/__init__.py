@@ -67,15 +67,15 @@ def build_runner(jobs: int = 1,
     the persistent store entirely), ``timeout`` (per-job seconds before
     the pool is declared stalled), ``verbose`` (render progress events to
     stderr).  Extra keyword arguments (``benchmarks``, ``iq_sizes``, ...)
-    pass through to the :class:`ExperimentRunner` constructor.
+    pass through to the :class:`ExperimentRunner` constructor; without
+    a ``suite`` the runners share the compiled :func:`worker_suite`.
     """
     # imported here: repro.sim.experiments imports this package's modules
     from repro.sim.experiments import ExperimentRunner
-    from repro.workloads.suite import WorkloadSuite
 
     reporter = progress or ProgressReporter(verbose=verbose)
     cache = None if no_cache else ResultCache(cache_dir)
-    suite = runner_kwargs.pop("suite", None) or WorkloadSuite()
+    suite = runner_kwargs.pop("suite", None) or worker_suite()
     executor = JobExecutor(jobs=jobs, cache=cache, timeout=timeout,
                            progress=reporter, suite=suite)
     return ExperimentRunner(suite=suite, executor=executor,

@@ -60,18 +60,12 @@ class SimJob:
         """Short human-readable label for progress lines."""
         mode = "reuse" if self.config.reuse_enabled else "base"
         opt = " opt" if self.optimize else ""
-        extras = []
-        if self.engine != "object":
-            extras.append(self.engine)
-        if self.config.reuse_enabled and self.config.reuse_mode != "loop":
-            extras.append(self.config.reuse_mode)
-        if self.config.nblt_size != 8:
-            extras.append(f"nblt={self.config.nblt_size}")
-        if self.config.buffering_strategy != "multi":
-            extras.append(self.config.buffering_strategy)
-        suffix = (" " + " ".join(extras)) if extras else ""
-        return (f"{self.benchmark} iq={self.config.iq_size} "
-                f"{mode}{opt}{suffix}")
+        extras = [self.engine] if self.engine != "object" else []
+        extras += [f"{name}={value}"
+                   for name, value in self.config.to_dict().items()
+                   if name not in ("iq_size", "reuse_enabled")]
+        return " ".join([f"{self.benchmark} iq={self.config.iq_size} "
+                         f"{mode}{opt}", *extras])
 
 
 def _digest(text: str) -> str:
@@ -132,15 +126,12 @@ def job_key(job: SimJob, program: Program) -> str:
 
 
 def job_to_dict(job: SimJob) -> Dict[str, Any]:
-    """Reporting export of a job spec (for cache entries / manifests)."""
+    """Reporting export of a job spec (for cache entries / manifests);
+    ``config`` is :meth:`MachineConfig.to_dict`."""
     return {
         "benchmark": job.benchmark,
         "optimize": job.optimize,
         "engine": job.engine,
-        "iq_size": job.config.iq_size,
-        "reuse_enabled": job.config.reuse_enabled,
-        "reuse_mode": job.config.reuse_mode,
-        "buffering_strategy": job.config.buffering_strategy,
-        "nblt_size": job.config.nblt_size,
+        "config": job.config.to_dict(),
         "config_digest": config_digest(job.config),
     }

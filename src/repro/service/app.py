@@ -43,6 +43,7 @@ import hashlib
 import json
 from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
+from repro.arch.config import MachineConfig
 from repro.power.activity import ActivityRecord
 from repro.power.attribution import fold_component_energies
 from repro.power.params import DEFAULT_PARAMS
@@ -71,6 +72,12 @@ _log = get_logger("service.app")
 #: Ceiling on jobs in one submission: a sweep request is a frontier
 #: description, not a bulk loader.
 MAX_SWEEP_JOBS = 1024
+
+#: The ``MachineConfig`` fields a sweep body may set beside its grid
+#: keys (anything else, or an integer outside [0, 1024], is a 400).
+SWEEP_CONFIG_FIELDS = ("nblt_size", "buffering_strategy", "reuse_mode",
+                       "bpred_kind", "tht_size", "loop_cache_size",
+                       "loop_cache_decoded")
 
 #: Event ring capacity; ``since`` cursors older than the ring answer
 #: with a ``truncated`` marker so clients know to re-poll full status.
@@ -122,8 +129,7 @@ def parse_sweep_request(payload: Any) -> Tuple[List[JobSpec],
          "iq_sizes": [32, 64, ...],         # required
          "modes": ["baseline", "reuse"],    # default: both
          "optimize": false,
-         "nblt_size": 8,
-         "buffering_strategy": "multi"}
+         "bpred_kind": "gshare", ...}       # any SWEEP_CONFIG_FIELDS
     """
     if not isinstance(payload, dict):
         raise HttpError(400, "body must be a JSON object")
@@ -151,17 +157,24 @@ def parse_sweep_request(payload: Any) -> Tuple[List[JobSpec],
     optimize = payload.get("optimize", False)
     if not isinstance(optimize, bool):
         raise HttpError(400, "optimize must be a boolean")
-    nblt_size = payload.get("nblt_size", 8)
-    if not isinstance(nblt_size, int) or isinstance(nblt_size, bool) \
-            or nblt_size < 0:
-        raise HttpError(400, "nblt_size must be an integer >= 0")
-    strategy = payload.get("buffering_strategy", "multi")
-    if strategy not in ("single", "multi"):
-        raise HttpError(400, "buffering_strategy must be 'single' or "
-                             "'multi'")
+    config = {name: value for name, value in payload.items()
+              if name not in ("benchmarks", "iq_sizes", "modes",
+                              "optimize")}
+    for name, value in config.items():
+        if name not in SWEEP_CONFIG_FIELDS:
+            raise HttpError(400, f"unknown sweep field {name!r}; machine "
+                                 f"fields: {', '.join(SWEEP_CONFIG_FIELDS)}")
+        if type(value) is int and not 0 <= value <= 1024:
+            raise HttpError(400, f"{name} must be in [0, 1024], "
+                                 f"got {value}")
+    try:
+        config = MachineConfig.from_dict(config).to_dict()
+    except (TypeError, ValueError) as exc:
+        raise HttpError(400, f"bad machine config: {exc}")
+    del config["iq_size"]
     specs = [JobSpec(benchmark=benchmark, iq_size=iq,
                      reuse=(mode == "reuse"), optimize=optimize,
-                     nblt_size=nblt_size, buffering_strategy=strategy)
+                     config=config)
              for benchmark in dict.fromkeys(benchmarks)
              for iq in dict.fromkeys(iq_sizes)
              for mode in dict.fromkeys(modes)]
@@ -173,8 +186,7 @@ def parse_sweep_request(payload: Any) -> Tuple[List[JobSpec],
         "iq_sizes": list(dict.fromkeys(iq_sizes)),
         "modes": list(dict.fromkeys(modes)),
         "optimize": optimize,
-        "nblt_size": nblt_size,
-        "buffering_strategy": strategy,
+        **config,
     }
     return specs, request_echo
 
@@ -336,9 +348,9 @@ class SimService:
         suite = worker_suite()
         keys = []
         for spec in specs:
+            # sweep configs are scalar-valued, so their items hash
             memo_key = (spec.benchmark, spec.iq_size, spec.reuse,
-                        spec.optimize, spec.nblt_size,
-                        spec.buffering_strategy)
+                        spec.optimize, *spec.config.items())
             key = self._key_memo.get(memo_key)
             if key is None:
                 program = suite.program(spec.benchmark,

@@ -19,12 +19,11 @@ reconstruct the queue.  Three properties fall out of this design:
   journal records only specs and state, so it stays tiny and the cache
   stays the single source of result truth.
 
-Job specs are deliberately restricted to the fields the sweep API
-exposes (benchmark, issue-queue size, reuse mode, optimize flag, NBLT
-size, buffering strategy): those reconstruct a
-:class:`~repro.runner.jobs.SimJob` bit-exactly via the paper's
-``with_iq_size`` sweep rule, which is what makes a journaled job
-re-runnable after a restart.
+A job spec is a grid point (benchmark, issue-queue size, reuse flag,
+optimize flag) plus, flat beside it, the rest of the sparse
+:meth:`~repro.arch.config.MachineConfig.to_dict`: it rebuilds its
+:class:`~repro.runner.jobs.SimJob` bit-exactly over the paper's
+``with_iq_size`` sweep rule, which makes a journaled job re-runnable.
 
 The queue is synchronous and single-threaded by design: every mutation
 happens on the service's event loop, and the worker pool hands results
@@ -61,40 +60,30 @@ class JobSpec:
     iq_size: int
     reuse: bool
     optimize: bool = False
-    nblt_size: int = 8
-    buffering_strategy: str = "multi"
+    #: The other sparse :meth:`MachineConfig.to_dict` fields.
+    config: Dict[str, Any] = field(default_factory=dict)
 
     def to_sim_job(self) -> SimJob:
         """Reconstruct the runner job (the paper's sweep rule)."""
-        config = MachineConfig().with_iq_size(self.iq_size).replace(
-            reuse_enabled=self.reuse,
-            nblt_size=self.nblt_size,
-            buffering_strategy=self.buffering_strategy,
-        )
-        return SimJob(benchmark=self.benchmark, config=config,
-                      optimize=self.optimize)
+        fields = {**self.config, "iq_size": self.iq_size,
+                  "reuse_enabled": self.reuse}
+        return SimJob(benchmark=self.benchmark, optimize=self.optimize,
+                      config=MachineConfig.from_dict(fields))
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "iq_size": self.iq_size,
-            "reuse": self.reuse,
-            "optimize": self.optimize,
-            "nblt_size": self.nblt_size,
-            "buffering_strategy": self.buffering_strategy,
-        }
+        return {"benchmark": self.benchmark, "iq_size": self.iq_size,
+                "reuse": self.reuse, "optimize": self.optimize,
+                **self.config}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "JobSpec":
-        return cls(
-            benchmark=str(payload["benchmark"]),
-            iq_size=int(payload["iq_size"]),
-            reuse=bool(payload["reuse"]),
-            optimize=bool(payload.get("optimize", False)),
-            nblt_size=int(payload.get("nblt_size", 8)),
-            buffering_strategy=str(
-                payload.get("buffering_strategy", "multi")),
-        )
+        """Inverse of :meth:`to_dict`; the config must be valid."""
+        config = dict(payload)
+        spec = cls(*(config.pop(name)
+                     for name in ("benchmark", "iq_size", "reuse")),
+                   optimize=config.pop("optimize", False), config=config)
+        spec.to_sim_job()
+        return spec
 
 
 @dataclass

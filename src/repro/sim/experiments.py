@@ -73,22 +73,13 @@ class ExperimentRunner:
 
     # -- execution through the runner subsystem -----------------------------
 
-    def _config(self, iq_size: int, strategy: str = "multi",
-                nblt_size: int = 8, reuse: bool = False) -> MachineConfig:
-        return self.base_config.with_iq_size(iq_size).replace(
-            buffering_strategy=strategy, nblt_size=nblt_size,
-            reuse_enabled=reuse)
-
     def _pair_specs(self, benchmark: str, iq_size: int,
-                    optimize: bool = False, strategy: str = "multi",
-                    nblt_size: int = 8) -> List[tuple]:
-        """The (benchmark, config, optimize) baseline/reuse spec pair."""
-        return [
-            (benchmark,
-             self._config(iq_size, strategy, nblt_size, reuse=reuse),
-             optimize)
-            for reuse in (False, True)
-        ]
+                    optimize: bool = False, **overrides) -> List[tuple]:
+        """The (benchmark, config, optimize) baseline/reuse spec pair;
+        ``overrides`` replace ``MachineConfig`` fields."""
+        config = self.base_config.with_iq_size(iq_size).replace(**overrides)
+        return [(benchmark, config.replace(reuse_enabled=reuse), optimize)
+                for reuse in (False, True)]
 
     def prefetch(self, specs: Sequence[tuple]) -> None:
         """Resolve many (benchmark, config, optimize) specs in one batch.
@@ -119,12 +110,9 @@ class ExperimentRunner:
         return self._cache[key]
 
     def compare(self, benchmark: str, iq_size: int,
-                optimize: bool = False,
-                strategy: str = "multi",
-                nblt_size: int = 8) -> RunComparison:
+                optimize: bool = False, **overrides) -> RunComparison:
         """Baseline vs reuse for one benchmark/configuration."""
-        specs = self._pair_specs(benchmark, iq_size, optimize,
-                                 strategy, nblt_size)
+        specs = self._pair_specs(benchmark, iq_size, optimize, **overrides)
         self.prefetch(specs)
         (_, base_config, _), (_, reuse_config, _) = specs
         baseline = self._run(benchmark, base_config, optimize)
@@ -134,9 +122,7 @@ class ExperimentRunner:
     def reevaluate(self, benchmark: str, iq_size: int,
                    params: Optional[PowerParams] = None,
                    style: Optional[str] = None,
-                   optimize: bool = False,
-                   strategy: str = "multi",
-                   nblt_size: int = 8) -> RunComparison:
+                   optimize: bool = False, **overrides) -> RunComparison:
         """A :meth:`compare` pair re-costed under other power parameters.
 
         The timing runs come from the cache (in-memory or persistent) --
@@ -144,7 +130,7 @@ class ExperimentRunner:
         or parameter file performs zero simulations.
         """
         comparison = self.compare(benchmark, iq_size, optimize=optimize,
-                                  strategy=strategy, nblt_size=nblt_size)
+                                  **overrides)
         return comparison.reevaluate(params=params, style=style)
 
     # -- the master sweep (Figures 5-8) -------------------------------------
@@ -287,12 +273,14 @@ class ExperimentRunner:
             for benchmark in names
             for strategy in ("multi", "single")
             for spec in self._pair_specs(benchmark, iq_size,
-                                         strategy=strategy)
+                                         buffering_strategy=strategy)
         ])
         table: Dict[str, Dict[str, float]] = {}
         for benchmark in names:
-            multi = self.compare(benchmark, iq_size, strategy="multi")
-            single = self.compare(benchmark, iq_size, strategy="single")
+            multi = self.compare(benchmark, iq_size,
+                                 buffering_strategy="multi")
+            single = self.compare(benchmark, iq_size,
+                                  buffering_strategy="single")
             table[benchmark] = {
                 "gated_multi": multi.gated_fraction,
                 "gated_single": single.gated_fraction,

@@ -34,7 +34,7 @@ from repro.sim.results import RunComparison, SimulationResult
 from repro.sim.simulator import evaluate_power
 
 __all__ = [
-    "SCHEMA_VERSION", "config_to_dict", "result_to_dict",
+    "SCHEMA_VERSION", "result_to_dict",
     "comparison_to_dict", "result_to_payload", "result_from_payload",
     "stats_from_dict", "to_json",
 ]
@@ -52,29 +52,13 @@ __all__ = [
 SCHEMA_VERSION = 5
 
 
-def config_to_dict(config) -> Dict[str, Any]:
-    """The interesting knobs of a machine configuration."""
-    return {
-        "iq_size": config.iq_size,
-        "rob_size": config.rob_size,
-        "lsq_size": config.lsq_size,
-        "fetch_width": config.fetch_width,
-        "issue_width": config.issue_width,
-        "reuse_enabled": config.reuse_enabled,
-        "reuse_mode": config.reuse_mode,
-        "buffering_strategy": config.buffering_strategy,
-        "nblt_size": config.nblt_size,
-        "tht_size": config.tht_size,
-        "loop_cache_size": config.loop_cache_size,
-    }
-
-
 def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
-    """Full export of one run: config, headline metrics, counters, power."""
+    """Full export of one run: config (:meth:`MachineConfig.to_dict`),
+    headline metrics, counters, power."""
     stats = result.stats
     return {
         "program": result.program_name,
-        "config": config_to_dict(result.config),
+        "config": result.config.to_dict(),
         "metrics": {
             "cycles": result.cycles,
             "committed": result.stats.committed,

@@ -48,9 +48,9 @@ def test_corpus_entry_replays(entry, engine, reuse_mode):
         f"{entry.name}: unfixed divergence entries do not belong under "
         f"tests/corpus (see docs/fuzzing.md triage workflow)")
     program = assemble(entry.source, name=entry.name)
-    outcome = run_differential(program, entry.machine_config(),
-                               collect_coverage=False, engine=engine,
-                               reuse_mode=reuse_mode)
+    config = entry.machine_config().replace(reuse_mode=reuse_mode)
+    outcome = run_differential(program, config, collect_coverage=False,
+                               engine=engine)
     assert outcome.divergence is None, (
         f"{entry.name}: {outcome.divergence.describe()}")
     if reuse_mode != "loop":

@@ -8,7 +8,6 @@ from repro.arch.config import MachineConfig
 from repro.compiler.passes import build_program
 from repro.sim.export import (
     comparison_to_dict,
-    config_to_dict,
     result_to_dict,
     to_json,
 )
@@ -32,11 +31,10 @@ class TestExport:
     def test_config_dict(self):
         config = MachineConfig().with_iq_size(128).replace(
             reuse_enabled=True, loop_cache_size=16)
-        exported = config_to_dict(config)
-        assert exported["iq_size"] == 128
-        assert exported["lsq_size"] == 64
-        assert exported["reuse_enabled"] is True
-        assert exported["loop_cache_size"] == 16
+        exported = config.to_dict()
+        assert exported == {"iq_size": 128, "reuse_enabled": True,
+                            "loop_cache_size": 16}
+        assert MachineConfig.from_dict(exported) == config
 
     def test_result_dict_structure(self, results):
         baseline, _ = results

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.arch.config import MachineConfig
 from repro.cli import main
 from repro.fuzz import CampaignConfig, FuzzCampaign, load_corpus
 
@@ -75,6 +76,20 @@ class TestCorpusOutput:
             assert entry.kind == "divergence"
             assert entry.spec is not None
             assert entry.source.strip()
+
+    def test_findings_keep_the_campaign_machine_config(self, tmp_path):
+        corpus_dir = str(tmp_path / "corpus")
+        machine = MachineConfig().with_iq_size(32).replace(
+            reuse_mode="trace")
+        report = _run(programs=25, seed=1, corpus_dir=corpus_dir,
+                      inject_bug="skip-lrl-update", machine=machine)
+        assert report["config"]["machine"] == {"iq_size": 32,
+                                               "reuse_mode": "trace"}
+        entries = load_corpus(corpus_dir)
+        assert entries
+        for entry in entries:
+            assert entry.machine_config().reuse_mode == "trace"
+            assert entry.machine_config() == machine
 
 
 class TestCli:

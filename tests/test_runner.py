@@ -18,6 +18,7 @@ Covers the acceptance properties of :mod:`repro.runner`:
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -135,6 +136,17 @@ class TestJobKeys:
         base = MachineConfig()
         assert config_digest(base) != config_digest(
             base.replace(mem_first_chunk=81))
+
+    def test_describe_names_every_differing_config_field(self):
+        config = MachineConfig().with_iq_size(32).replace(
+            reuse_enabled=True)
+        bimod = SimJob("tsf", config).describe()
+        gshare = SimJob("tsf", config.replace(bpred_kind="gshare"))
+        assert bimod == "tsf iq=32 reuse array"
+        assert gshare.describe() == \
+            "tsf iq=32 reuse array bpred_kind=gshare"
+        assert "nblt_size=0" in SimJob(
+            "tsf", config.replace(nblt_size=0)).describe()
 
 
 class TestPayloadRoundTrip:
@@ -273,6 +285,36 @@ class TestPersistentCache:
         assert loaded == record
 
 
+class TestLegacyCache:
+    def test_entries_written_before_sparse_configs_all_hit(self, tmp_path):
+        """Cache keys did not move: every entry of a cache written before
+        jobs carried ``MachineConfig.to_dict`` is hit, none simulated."""
+        import shutil
+
+        from repro.service.jobqueue import JobSpec
+
+        legacy = pathlib.Path(__file__).parent / "fixtures" / \
+            "legacy_state" / "cache"
+        shutil.copytree(legacy, tmp_path / "cache")
+        jobs = [
+            JobSpec("tsf", 32, reuse=False).to_sim_job(),
+            JobSpec("tsf", 32, reuse=True).to_sim_job(),
+            JobSpec("tsf", 32, reuse=True, config={
+                "nblt_size": 4, "buffering_strategy": "single"}
+            ).to_sim_job(),
+            SimJob("tsf", MachineConfig.from_dict({
+                "iq_size": 32, "reuse_enabled": True,
+                "reuse_mode": "trace", "bpred_kind": "gshare"})),
+        ]
+        executor = JobExecutor(jobs=1,
+                               cache=ResultCache(tmp_path / "cache"))
+        assert {executor.key(job) for job in jobs} == \
+            {path.stem for path in legacy.glob("*.json")}
+        assert len(executor.run(jobs)) == len(jobs)
+        assert executor.progress.count("cache-hit") == len(jobs)
+        assert executor.progress.count("started") == 0
+
+
 class TestParamsFreeCache:
     """Power params never trigger a simulation of their own."""
 
@@ -361,6 +403,27 @@ class TestExecutorFallback:
         results = executor.run([job, job, job])
         assert len(results) == 1
         assert executor.progress.count("done") == 1
+
+
+class TestSharedSuite:
+    def test_runners_share_compiled_programs(self):
+        first = build_runner(jobs=1, no_cache=True)
+        second = build_runner(jobs=1, no_cache=True)
+        assert first.suite is second.suite
+        assert first.suite.program("tsf") is second.suite.program("tsf")
+
+    def test_simulation_leaves_the_program_digest_unchanged(self):
+        # a shared Program must be immutable under simulation: its data
+        # segments are bytes, and load_image copies them
+        import repro.runner.jobs as jobs_module
+
+        program = build_runner(jobs=1, no_cache=True).suite.program("wss")
+        before = program_digest(program)
+        for engine in ("array", "object"):
+            run_timing(program, MachineConfig().with_iq_size(32).replace(
+                reuse_enabled=True), engine=engine)
+        jobs_module._PROGRAM_DIGESTS.pop(program)
+        assert program_digest(program) == before
 
 
 class TestProgressManifest:

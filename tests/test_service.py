@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.arch.config import MachineConfig
 from repro.service.app import (
     MAX_SWEEP_JOBS,
     parse_sweep_request,
@@ -38,8 +39,8 @@ def _spec(benchmark="tsf", iq=32, reuse=False, **kwargs):
 
 class TestJobSpec:
     def test_round_trips_through_dict(self):
-        spec = _spec(reuse=True, nblt_size=4,
-                     buffering_strategy="single", optimize=True)
+        spec = _spec(reuse=True, optimize=True, config={
+            "nblt_size": 4, "buffering_strategy": "single"})
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
     def test_reconstructs_the_sweep_rule_config(self):
@@ -48,6 +49,14 @@ class TestJobSpec:
         assert job.config.rob_size == 128
         assert job.config.lsq_size == 64
         assert job.config.reuse_enabled
+
+    def test_legacy_flat_spec_loads(self):
+        spec = JobSpec.from_dict({
+            "benchmark": "tsf", "iq_size": 32, "reuse": True,
+            "optimize": False, "nblt_size": 8,
+            "buffering_strategy": "multi"})
+        assert spec.to_sim_job().config == \
+            MachineConfig().with_iq_size(32).replace(reuse_enabled=True)
 
 
 class TestJobQueue:
@@ -166,6 +175,45 @@ class TestSweepRequest:
         assert len(specs) == 4
         assert all(spec.reuse and spec.optimize for spec in specs)
         assert echo["buffering_strategy"] == "single"
+
+    def test_machine_fields_become_a_sparse_spec_config(self):
+        specs, echo = parse_sweep_request({
+            "benchmarks": ["tsf"], "iq_sizes": [32], "modes": ["reuse"],
+            "bpred_kind": "gshare", "reuse_mode": "trace",
+            "nblt_size": 8, "loop_cache_size": 16,
+            "loop_cache_decoded": True})
+        (spec,) = specs
+        assert spec.config == {"bpred_kind": "gshare",
+                               "reuse_mode": "trace",
+                               "loop_cache_size": 16,
+                               "loop_cache_decoded": True}
+        assert spec.to_sim_job().config == \
+            MachineConfig().with_iq_size(32).replace(
+                reuse_enabled=True, **spec.config)
+        assert echo["bpred_kind"] == "gshare"
+        assert "nblt_size" not in echo  # the default is not repeated
+
+    @pytest.mark.parametrize("extra", [
+        {"rob_size": 64},                 # fields outside the allowlist
+        {"max_cycles": 10},
+        {"reuse_enabled": True},
+        {"dl1": {"assoc": 8}},
+        {"nblt": 8},
+        {"nblt_size": 1025},              # out of range
+        {"tht_size": 100000},
+        {"loop_cache_size": -1},
+        {"nblt_size": True},              # wrong type
+        {"tht_size": "16"},
+        {"loop_cache_decoded": 1},
+        {"bpred_kind": "neural"},         # rejected by MachineConfig
+        {"reuse_mode": "supertrace"},
+        {"loop_cache_decoded": True},     # needs a loop cache
+    ], ids=lambda extra: "-".join(f"{k}={v}" for k, v in extra.items()))
+    def test_machine_fields_outside_allowlist_or_bounds_are_400(self,
+                                                               extra):
+        with pytest.raises(HttpError) as excinfo:
+            parse_sweep_request({"iq_sizes": [32], **extra})
+        assert excinfo.value.status == 400
 
     def test_duplicates_are_collapsed(self):
         specs, _ = parse_sweep_request({

@@ -17,20 +17,29 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import pathlib
+import shutil
 
 import pytest
 
+from repro.arch.config import MachineConfig
 from repro.power.activity import ActivityRecord
 from repro.power.params import DEFAULT_PARAMS
-from repro.runner.executor import execute_job
+from repro.runner.executor import execute_job, worker_suite
+from repro.runner.jobs import job_key
 from repro.service.app import ServiceConfig, SimService
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.jobqueue import JobSpec
 import repro.service.workers as workers_module
 from repro.sim.export import result_to_dict
-from repro.sim.simulator import evaluate_power
+from repro.sim.simulator import evaluate_power, run_timing
 
 SWEEP = {"benchmarks": ["tsf"], "iq_sizes": [32],
          "modes": ["baseline", "reuse"]}
+
+#: A journal and result cache written by the service before job specs
+#: carried a sparse ``MachineConfig.to_dict`` (see its README).
+LEGACY_STATE = pathlib.Path(__file__).parent / "fixtures" / "legacy_state"
 
 #: Hard ceiling on any single await in these tests; generous next to
 #: the ~1s a tsf timing run takes, tiny next to a hung-test timeout.
@@ -271,7 +280,6 @@ def test_traced_sweep_spans_every_observability_plane(tmp_path):
     records carrying the id at every hop.
     """
     from repro.power.model import PowerModel
-    from repro.service.jobqueue import JobSpec
     from repro.telemetry import (
         default_sink,
         parse_prometheus,
@@ -321,7 +329,8 @@ def test_traced_sweep_spans_every_observability_plane(tmp_path):
                 results = await client.results(receipt["sweep_id"])
                 expected = 0.0
                 for row in results["results"]:
-                    config = JobSpec.from_dict(row).to_sim_job().config
+                    config = MachineConfig.from_dict(
+                        row["result"]["config"])
                     record = ActivityRecord.from_payload(row["record"])
                     expected += PowerModel(config).total_energy(record)
                 assert folded == pytest.approx(expected, rel=1e-6)
@@ -425,3 +434,93 @@ def test_warm_resubmit_of_a_finished_sweep_reads_no_cache_entry(
                     == (2, 2, 0, 0)
 
     asyncio.run(case())
+
+
+def _forbid_simulation(monkeypatch):
+    def forbidden(job, timeout=None, traced=False):
+        raise AssertionError(f"re-simulated {job.describe()}")
+
+    monkeypatch.setattr(workers_module, "_simulate_out_of_process",
+                        forbidden)
+
+
+def test_legacy_journal_replays_and_resumes_from_its_cache(
+        tmp_path, monkeypatch):
+    """A journal and cache written before specs carried a sparse config
+    load unchanged: replay rebuilds every spec under its journaled key,
+    a job torn mid-flight resumes from the cache, and the old sweep
+    bodies resubmit onto the same jobs -- no key moved."""
+    journal = tmp_path / "state" / "journal.jsonl"
+    journal.parent.mkdir()
+    shutil.copy(LEGACY_STATE / "journal.jsonl", journal)
+    shutil.copytree(LEGACY_STATE / "cache", tmp_path / "cache")
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    job_ops = [record for record in records if record["op"] == "job"]
+    sweeps = [record for record in records if record["op"] == "sweep"]
+    torn_key = job_ops[-1]["key"]
+    with open(journal, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"op": "state", "key": torn_key,
+                                 "state": "running", "attempts": 1},
+                                sort_keys=True) + "\n")
+    _forbid_simulation(monkeypatch)
+    suite = worker_suite()
+
+    async def case():
+        async with service(tmp_path, cache_dir=str(tmp_path / "cache")) \
+                as (svc, host, port):
+            assert svc.queue.recovered == 1
+            assert svc.queue.skipped_lines == 0
+            for op in job_ops:
+                spec = svc.queue.jobs[op["key"]].spec
+                assert spec == JobSpec.from_dict(op["spec"])
+                sim_job = spec.to_sim_job()
+                assert job_key(sim_job,
+                               suite.program(sim_job.benchmark)) == op["key"]
+            async with ServiceClient(host, port,
+                                     client_id="legacy") as client:
+                for sweep in sweeps:
+                    status = await client.wait_complete(
+                        sweep["sweep_id"], timeout=DEADLINE)
+                    assert status["complete"] and not status["failed"]
+                assert svc.queue.jobs[torn_key].source == "cache"
+                for sweep in sweeps:
+                    receipt = await client.submit_sweep(**sweep["request"])
+                    assert receipt["sweep_id"] == sweep["sweep_id"]
+                    assert receipt["enqueued"] == 0
+                    assert receipt["cache_hits"] == receipt["total"]
+
+    asyncio.run(case())
+
+
+def test_gshare_trace_sweep_matches_direct_runs(tmp_path):
+    """Machine fields beyond the Figure 5 grid reach the simulation: a
+    gshare + trace-reuse sweep returns what direct runs produce."""
+    machine = {"bpred_kind": "gshare", "reuse_mode": "trace"}
+
+    async def case():
+        async with service(tmp_path) as (svc, host, port):
+            async with ServiceClient(host, port,
+                                     client_id="gshare") as client:
+                receipt = await client.submit_sweep(**SWEEP, **machine)
+                await client.wait_complete(receipt["sweep_id"],
+                                           timeout=DEADLINE)
+                return (await client.results(receipt["sweep_id"]))[
+                    "results"]
+
+    rows = asyncio.run(case())
+    assert sorted(row["reuse"] for row in rows) == [False, True]
+    program = worker_suite().program("tsf")
+    for row in rows:
+        assert row["bpred_kind"] == "gshare"
+        config = MachineConfig().with_iq_size(32).replace(
+            reuse_enabled=row["reuse"], **machine)
+        assert MachineConfig.from_dict(row["result"]["config"]) == config
+        record = run_timing(program, config)
+        assert _canonical(row["record"]) == _canonical(record.to_payload())
+        result = evaluate_power(record, config, DEFAULT_PARAMS)
+        assert _canonical(row["result"]) == \
+            _canonical(result_to_dict(result))
+        if row["reuse"]:
+            loop_bimod = run_timing(program, config.replace(
+                bpred_kind="bimod", reuse_mode="loop"))
+            assert row["record"] != loop_bimod.to_payload()
